@@ -18,7 +18,6 @@ from .bounds import (
     render_text,
 )
 from .context import (
-    Box,
     Concept,
     ConceptSet,
     NContext,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Bipartition",
     "BoundsReport",
-    "Box",
     "Classification",
     "Concept",
     "ConceptSet",

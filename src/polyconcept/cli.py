@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .bounds import bounds_report, exhaustive_max_concepts, render_csv, render_text
-from .context import NContext
+from .context import NContext, ResourceLimitError
 from .enumeration import count_concepts, enumerate_concepts
 from .generators import (
     FIXTURE_NAMES,
@@ -60,25 +60,36 @@ def _dim_index(ctx: NContext, dim: int) -> int:
     return dim - 1
 
 
+def _keep(ctx: NContext, dim: int, what: str, text: str) -> list[int]:
+    """Indices of the comma-separated labels in text; what names their option."""
+    labels = [lbl for lbl in text.split(",") if lbl]
+    if not labels:
+        raise ValueError(f"{what} names no labels")
+    return [ctx.index_of(dim, lbl) for lbl in labels]
+
+
 def _build_scope(ctx: NContext, scope: str, slices: list[str]) -> NContext:
     """Slice ``ctx`` by the ``--slice`` entries, then the ``slice:`` scope entries.
 
     Entries apply one after another, and each DIM counts the dimensions of
     the context left by the entries before it, not those of the input.
     """
-    recipe = list(slices)
+    recipe = [("--slice", entry) for entry in slices]
     if scope != "flatten":
         kind, _, rest = scope.partition(":")
         if kind != "slice" or not rest:
             raise ValueError(
                 f"unknown scope {scope!r}; use 'flatten' or 'slice:DIM=LABELS'"
             )
-        recipe.extend(part for part in rest.split(";") if part)
-    for entry in recipe:
+        recipe.extend(("--scope", part) for part in rest.split(";") if part)
+    for option, entry in recipe:
         dim_text, _, labels_text = entry.partition("=")
-        dim = _dim_index(ctx, int(dim_text))
-        keep = [ctx.index_of(dim, lbl) for lbl in labels_text.split(",") if lbl]
-        ctx = slice_dim(ctx, dim, keep)
+        try:
+            number = int(dim_text)
+        except ValueError:
+            raise ValueError(f"{option} entry {entry!r} needs an integer DIM") from None
+        dim = _dim_index(ctx, number)
+        ctx = slice_dim(ctx, dim, _keep(ctx, dim, f"{option} entry {entry!r}", labels_text))
     if ctx.arity > 2:
         ctx = objects_vs_rest(ctx)
     return ctx
@@ -89,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="polyconcept",
         description="n-dimensional cross tables, their concepts and implications",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; results never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a context")
@@ -126,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("slice", help="remove a dimension by universal quantification")
     _add_input(p)
     p.add_argument("--dim", type=int, required=True, help="1-based dimension")
-    p.add_argument("--keep", default="", help="comma list of element labels")
+    p.add_argument("--keep", default="", help="comma list of element labels, at least one")
 
     p = sub.add_parser("sum", help="direct sum of two contexts")
     p.add_argument("first")
@@ -209,7 +218,7 @@ def _run(args) -> int:
     if args.command == "slice":
         ctx = _read_context(args.context)
         dim = _dim_index(ctx, args.dim)
-        keep = [ctx.index_of(dim, lbl) for lbl in args.keep.split(",") if lbl]
+        keep = _keep(ctx, dim, "--keep", args.keep)
         out.write(serialize_context(slice_dim(ctx, dim, keep)))
         return 0
     if args.command == "sum":
@@ -246,11 +255,14 @@ def _run(args) -> int:
         out.write(render_csv([report]) if args.csv else render_text(report))
         return 0
     if args.command == "search":
-        result = exhaustive_max_concepts(
-            args.arity, args.side,
-            symmetry_reduction=not args.no_symmetry,
-            max_relations=args.max_relations,
-        )
+        try:
+            result = exhaustive_max_concepts(
+                args.arity, args.side,
+                symmetry_reduction=not args.no_symmetry,
+                max_relations=args.max_relations,
+            )
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(str(exc).replace("max_relations", "--max-relations")) from None
         kind = "exact maximum" if result.exact else "lower bound (partial search)"
         out.write(f"{kind}: {result.max_count}\n")
         out.write(f"witnesses up to symmetry: {len(result.witnesses)}\n")
@@ -269,11 +281,9 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return _run(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,9 +12,9 @@ the command line use 1-based indices and element labels instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from math import prod
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,27 +89,6 @@ class NContext:
         return f"NContext(sizes={self.sizes}, crosses={len(self.relation)})"
 
 
-@dataclass(frozen=True)
-class Box:
-    """A product of subsets over a selected set of dimensions.
-
-    The cell set of a box is the Cartesian product of its components; a box
-    with any empty component has an empty cell set.
-    """
-
-    dims_selected: tuple[int, ...]
-    components: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        if len(self.dims_selected) != len(self.components):
-            raise ValueError("dims_selected and components length mismatch")
-
-    def cells(self) -> frozenset[Cell]:
-        if any(not c for c in self.components):
-            return frozenset()
-        return frozenset(product(*(sorted(c) for c in self.components)))
-
-
 def contains(ctx: NContext, t: Sequence[int]) -> bool:
     """Whether the index tuple t carries a cross."""
     t = tuple(t)
@@ -121,7 +100,8 @@ def contains(ctx: NContext, t: Sequence[int]) -> bool:
     return t in ctx.relation
 
 
-def _check_candidate(ctx: NContext, c: Sequence[Iterable[int]]) -> Concept:
+def _check_candidate(ctx: NContext, c: Sequence[Iterable[int]]) -> tuple[int, ...]:
+    """The components of c as element masks, each index checked against ctx."""
     if len(c) != ctx.arity:
         raise ValueError(f"candidate arity {len(c)} does not match context arity {ctx.arity}")
     comps = tuple(frozenset(comp) for comp in c)
@@ -129,7 +109,7 @@ def _check_candidate(ctx: NContext, c: Sequence[Iterable[int]]) -> Concept:
         for x in comp:
             if not 0 <= x < len(ctx.dims[d]):
                 raise ValueError(f"index {x} out of range in dimension {d}")
-    return comps
+    return tuple(sum(1 << x for x in comp) for comp in comps)
 
 
 def box_full(ctx: NContext, c: Sequence[Iterable[int]]) -> bool:
@@ -138,8 +118,8 @@ def box_full(ctx: NContext, c: Sequence[Iterable[int]]) -> bool:
     Vacuously true when any component is empty.
     """
     comps = _check_candidate(ctx, c)
-    bits = context_bits(ctx)
-    return bits.box_is_full(comps)
+    cols = box_columns(element_masks(ctx.sizes), comps)
+    return not _meet(cols) & ~relation_mask(ctx)
 
 
 def is_concept(ctx: NContext, c: Sequence[Iterable[int]]) -> bool:
@@ -149,8 +129,7 @@ def is_concept(ctx: NContext, c: Sequence[Iterable[int]]) -> bool:
     element to one component, keeping the others fixed, must break fullness.
     """
     comps = _check_candidate(ctx, c)
-    bits = context_bits(ctx)
-    return bits.box_is_full(comps) and bits.box_is_maximal(comps)
+    return box_is_concept(relation_mask(ctx), element_masks(ctx.sizes), comps)
 
 
 def description(ctx: NContext, obj: int) -> frozenset[Cell]:
@@ -273,70 +252,134 @@ def from_dense(arr: np.ndarray, dims: Sequence[Sequence[str]] | None = None) -> 
     return NContext.build(dims, relation)
 
 
-class _ContextBits:
-    """Bitmask view of a context for fast fullness and maximality tests.
+# ---------------------------------------------------------------------------
+# Integer-mask kernel
+#
+# A relation over sizes (j1, ..., jn) is one int over its cells in row-major
+# order: cell (x1, ..., xn) is bit x1*w1 + ... + xn*wn for the strides w.  A
+# subset of one dimension is an int with bit x set for element x.  Row x of a
+# relation is the mask, over the cells of dimensions 2..n, of the cells whose
+# first coordinate is x: the row of object x in the objects-vs-rest
+# flattening.  Rows and masks are built per call; nothing is cached.
 
-    Cells are numbered in row-major order; masks[d][x] selects the cells
-    whose d-th coordinate is x.
+
+def _strides(sizes: Sequence[int]) -> list[int]:
+    return [prod(sizes[d + 1:]) for d in range(len(sizes))]
+
+
+def relation_mask(ctx: NContext) -> int:
+    """The relation of ctx as a row-major cell mask."""
+    strides = _strides(ctx.sizes)
+    rel = 0
+    for t in ctx.relation:
+        rel |= 1 << sum(x * w for x, w in zip(t, strides))
+    return rel
+
+
+def element_masks(sizes: Sequence[int]) -> list[list[int]]:
+    """masks[d][x]: the cells whose coordinate in dimension d is x."""
+    total = prod(sizes)
+    out = []
+    for j, w in zip(sizes, _strides(sizes)):
+        first = ((1 << w) - 1) * sum(1 << k for k in range(0, total, j * w))
+        out.append([first << (x * w) for x in range(j)])
+    return out
+
+
+def members(mask: int) -> frozenset[int]:
+    """The elements of a subset mask."""
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def box_columns(elems: list[list[int]], comps: Sequence[int]) -> list[int]:
+    """Per dimension, the cells whose coordinate lies in that component."""
+    cols = []
+    for masks, comp in zip(elems, comps):
+        col = 0
+        for x, m in enumerate(masks):
+            if comp >> x & 1:
+                col |= m
+        cols.append(col)
+    return cols
+
+
+def _meet(cols: Iterable[int]) -> int:
+    box = -1
+    for col in cols:
+        box &= col
+    return box
+
+
+def box_is_concept(rel: int, elems: list[list[int]], comps: Sequence[int]) -> bool:
+    """Whether the box with component masks comps is full in rel and maximal.
+
+    Maximal: adding one outside element to one component, the others kept,
+    puts a cell outside rel.
     """
-
-    def __init__(self, ctx: NContext):
-        sizes = ctx.sizes
-        n = len(sizes)
-        strides = [1] * n
-        for d in range(n - 2, -1, -1):
-            strides[d] = strides[d + 1] * sizes[d + 1]
-        self.sizes = sizes
-        self.strides = strides
-        rel = 0
-        for t in ctx.relation:
-            idx = sum(x * strides[d] for d, x in enumerate(t))
-            rel |= 1 << idx
-        self.relation_mask = rel
-        self.masks: list[list[int]] = []
-        total = ctx.cell_count()
-        for d in range(n):
-            per_elem = [0] * sizes[d]
-            for cell in range(total):
-                x = (cell // strides[d]) % sizes[d]
-                per_elem[x] |= 1 << cell
-            self.masks.append(per_elem)
-        self.full_mask = (1 << total) - 1
-
-    def component_mask(self, d: int, comp: frozenset[int]) -> int:
-        m = 0
-        for x in comp:
-            m |= self.masks[d][x]
-        return m
-
-    def box_mask(self, comps: Sequence[frozenset[int]]) -> int:
-        m = self.full_mask
-        for d, comp in enumerate(comps):
-            m &= self.component_mask(d, comp)
-        return m
-
-    def box_is_full(self, comps: Sequence[frozenset[int]]) -> bool:
-        if any(not comp for comp in comps):
-            return True
-        m = self.box_mask(comps)
-        return m & self.relation_mask == m
-
-    def box_is_maximal(self, comps: Sequence[frozenset[int]]) -> bool:
-        n = len(self.sizes)
-        for d in range(n):
-            others = self.full_mask
-            for k, comp in enumerate(comps):
-                if k != d:
-                    others &= self.component_mask(k, comp)
-            for x in range(self.sizes[d]):
-                if x in comps[d]:
-                    continue
-                grown = others & self.masks[d][x]
-                if grown & self.relation_mask == grown:
-                    return False
-        return True
+    cols = box_columns(elems, comps)
+    if _meet(cols) & ~rel:
+        return False
+    for d, comp in enumerate(comps):
+        others = _meet(cols[:d] + cols[d + 1:])
+        for x, m in enumerate(elems[d]):
+            if not comp >> x & 1 and not others & m & ~rel:
+                return False
+    return True
 
 
-@lru_cache(maxsize=512)
-def context_bits(ctx: NContext) -> _ContextBits:
-    return _ContextBits(ctx)
+def split_rows(rel: int, count: int, width: int) -> list[int]:
+    """The count rows of width cells each that make up rel."""
+    full = (1 << width) - 1
+    return [rel >> (x * width) & full for x in range(count)]
+
+
+def object_rows(ctx: NContext) -> list[int]:
+    """The rows of ctx, one per object."""
+    return split_rows(relation_mask(ctx), ctx.sizes[0], ctx.cell_count() // ctx.sizes[0])
+
+
+def extent(rows: Sequence[int], y: int) -> int:
+    """Mask of the rows that contain every cell of y."""
+    a = 0
+    for x, row in enumerate(rows):
+        if row & y == y:
+            a |= 1 << x
+    return a
+
+
+def intent(rows: Sequence[int], a: int, full: int) -> int:
+    """The cells every row in the mask a contains; full when a is empty."""
+    y = full
+    for x, row in enumerate(rows):
+        if a >> x & 1:
+            y &= row
+    return y
+
+
+def closure(rows: Sequence[int], y: int, full: int) -> int:
+    """Dyadic closure of the cell set y: the cells shared by all rows holding y."""
+    return intent(rows, extent(rows, y), full)
+
+
+def next_closures(m: int, close: Callable[[int], int]) -> Iterator[int]:
+    """Every set over m bits that close fixes, in lectic order (NextClosure).
+
+    Bit 0 is the most significant.  close is called afresh at each step, so
+    it may depend on what the caller did with the sets yielded so far, as
+    the Duquenne-Guigues base needs.
+    """
+    a = close(0)
+    while True:
+        yield a
+        cur = a
+        for i in range(m - 1, -1, -1):
+            bit = 1 << i
+            if cur & bit:
+                cur &= ~bit
+                continue
+            b = close(cur | bit)
+            if (b & ~cur) & (bit - 1) == 0:
+                a = b
+                break
+        else:
+            return

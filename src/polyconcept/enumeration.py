@@ -1,22 +1,35 @@
 """Enumeration of all n-concepts of an n-context.
 
-Two routes are provided on purpose.  brute_force_concepts iterates every
-candidate tuple of subsets and keeps the maximal full boxes; it is exact by
-construction and serves as the correctness oracle.  enumerate_concepts
-recurses through slices of the last dimension and is the one to use beyond
-toy sizes.  Both return the same set wherever the oracle can run.
+Two routes are provided on purpose.  brute_force_concepts tests every
+candidate tuple of subsets for a maximal full box; it is exact by
+construction and serves as the correctness oracle.  enumerate_concepts goes
+objects first, after TRIAS (Jäschke et al., ICDM 2006): it walks the closed
+object sets A of the objects-vs-rest flattening with NextClosure, recurses
+into the (n-1)-context of the cells that every object of A has, and keeps a
+concept of that context when the objects whose rows hold its box are
+exactly A.  Each concept then appears once, so count_concepts counts a
+stream.  Both routes return the same set wherever the oracle can run.
 """
 
 from __future__ import annotations
 
+from itertools import product
+from math import prod
+from typing import Iterator, Sequence
+
 from .context import (
-    Concept,
     ConceptSet,
     NContext,
     ResourceLimitError,
-    context_bits,
+    box_is_concept,
+    element_masks,
+    extent,
+    intent,
+    members,
+    next_closures,
+    relation_mask,
+    split_rows,
 )
-from .transforms import slice_dim
 
 BRUTE_FORCE_CAP = 2 ** 24
 
@@ -27,110 +40,45 @@ def brute_force_concepts(ctx: NContext, cap: int = BRUTE_FORCE_CAP) -> ConceptSe
     The candidate space has prod(2**j_i) elements; the call refuses to start
     when that exceeds cap.
     """
-    candidates = 1
-    for j in ctx.sizes:
-        candidates *= 2 ** j
+    candidates = prod(2 ** j for j in ctx.sizes)
     if candidates > cap:
         raise ResourceLimitError(
             f"brute force needs {candidates} candidates, above the cap of {cap}"
         )
-    bits = context_bits(ctx)
-    found = []
-    masks = [list(range(2 ** j)) for j in ctx.sizes]
-
-    def mask_to_set(m: int) -> frozenset[int]:
-        return frozenset(i for i in range(m.bit_length()) if m >> i & 1)
-
-    def rec(d: int, comps: list[frozenset[int]]):
-        if d == ctx.arity:
-            tup = tuple(comps)
-            if bits.box_is_full(tup) and bits.box_is_maximal(tup):
-                found.append(tup)
-            return
-        for m in masks[d]:
-            comps.append(mask_to_set(m))
-            rec(d + 1, comps)
-            comps.pop()
-
-    rec(0, [])
+    rel = relation_mask(ctx)
+    elems = element_masks(ctx.sizes)
+    found = [
+        tuple(members(m) for m in comps)
+        for comps in product(*(range(2 ** j) for j in ctx.sizes))
+        if box_is_concept(rel, elems, comps)
+    ]
     return ConceptSet.from_iterable(ctx, found)
 
 
-def _concepts_2d(ctx: NContext) -> list[Concept]:
-    """Concepts of a 2-context via NextClosure over attribute sets."""
-    n_obj = len(ctx.dims[0])
-    m = len(ctx.dims[1])
-    obj_masks = [0] * n_obj
-    for (o, a) in ctx.relation:
-        obj_masks[o] |= 1 << a
-    full = (1 << m) - 1
-
-    def close(x: int) -> int:
-        common = full
-        for dmask in obj_masks:
-            if dmask & x == x:
-                common &= dmask
-        return common
-
-    intents = []
-    a = close(0)
-    while True:
-        intents.append(a)
-        nxt = None
-        cur = a
-        for i in range(m - 1, -1, -1):
-            bit = 1 << i
-            if cur & bit:
-                cur &= ~bit
-            else:
-                b = close(cur | bit)
-                if (b & ~cur) & (bit - 1) == 0:
-                    nxt = b
-                    break
-        if nxt is None:
-            break
-        a = nxt
-
-    out = []
-    for intent in intents:
-        extent = frozenset(o for o in range(n_obj) if obj_masks[o] & intent == intent)
-        attrs = frozenset(i for i in range(m) if intent >> i & 1)
-        out.append((extent, attrs))
-    return out
-
-
-def _enumerate(ctx: NContext) -> set[Concept]:
-    if ctx.arity == 2:
-        return set(_concepts_2d(ctx))
-    bits = context_bits(ctx)
-    last = ctx.arity - 1
-    j = len(ctx.dims[last])
-    found: set[Concept] = set()
-    for dmask in range(2 ** j):
-        keep = frozenset(i for i in range(j) if dmask >> i & 1)
-        sub = slice_dim(ctx, last, keep)
-        for c in _enumerate(sub):
-            grown = set()
-            for x in range(j):
-                if bits.box_is_full(c + (frozenset([x]),)):
-                    grown.add(x)
-            cand = c + (frozenset(grown),)
-            if bits.box_is_full(cand) and bits.box_is_maximal(cand):
-                found.add(cand)
-    return found
+def _concepts(sizes: Sequence[int], rel: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each concept of the relation rel over sizes once: (component masks, box cells)."""
+    if len(sizes) == 1:
+        yield (rel,), rel
+        return
+    width = prod(sizes[1:])
+    full = (1 << width) - 1
+    rows = split_rows(rel, sizes[0], width)
+    for a in next_closures(sizes[0], lambda a: extent(rows, intent(rows, a, full))):
+        lift = sum(1 << (x * width) for x in range(sizes[0]) if a >> x & 1)
+        for comps, box in _concepts(sizes[1:], intent(rows, a, full)):
+            if extent(rows, box) == a:
+                yield (a,) + comps, box * lift
 
 
 def enumerate_concepts(ctx: NContext) -> ConceptSet:
-    """All concepts, found by recursing over slices of the last dimension.
-
-    For every subset D of the last dimension, a concept of the slice C_D
-    extends to a candidate by collecting the last-dimension elements under
-    which its box stays full; candidates are then filtered for maximality
-    in the original context and deduplicated.  Output order is canonical.
-    """
-    return ConceptSet.from_iterable(ctx, _enumerate(ctx))
+    """All concepts, found objects first; output order is canonical."""
+    found = [
+        tuple(members(m) for m in comps)
+        for comps, _ in _concepts(ctx.sizes, relation_mask(ctx))
+    ]
+    return ConceptSet.from_iterable(ctx, found)
 
 
 def count_concepts(ctx: NContext) -> int:
-    """Number of concepts of ctx."""
-    return len(_enumerate(ctx)) if ctx.arity > 2 else len(set(_concepts_2d(ctx)))
+    """Number of concepts of ctx, counted as they are found."""
+    return sum(1 for _ in _concepts(ctx.sizes, relation_mask(ctx)))

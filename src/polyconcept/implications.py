@@ -23,7 +23,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .context import NContext, ResourceLimitError, feature_cells
+from .context import (
+    NContext,
+    ResourceLimitError,
+    closure,
+    extent,
+    feature_cells,
+    next_closures,
+    object_rows,
+)
 from .enumeration import enumerate_concepts
 from .transforms import objects_vs_rest
 
@@ -72,15 +80,19 @@ def _cell_label(cell: Cell) -> str:
     return "(" + ",".join(cell) + ")"
 
 
-def _attr_indices(ctx2: NContext, cells: Iterable[Cell]) -> frozenset[int]:
+def _attr_mask(ctx2: NContext, cells: Iterable[Cell]) -> int:
     lookup = {label: i for i, label in enumerate(ctx2.dims[1])}
-    out = set()
+    mask = 0
     for cell in cells:
         label = _cell_label(tuple(cell))
         if label not in lookup:
             raise ValueError(f"cell {label!r} is not an attribute of this context")
-        out.add(lookup[label])
-    return frozenset(out)
+        mask |= 1 << lookup[label]
+    return mask
+
+
+def _closure_mask(ctx2: NContext, x: int) -> int:
+    return closure(object_rows(ctx2), x, (1 << len(ctx2.dims[1])) - 1)
 
 
 def closure2(ctx2: NContext, attrs: Iterable[str]) -> frozenset[str]:
@@ -96,47 +108,21 @@ def closure2(ctx2: NContext, attrs: Iterable[str]) -> frozenset[str]:
         if a not in lookup:
             raise ValueError(f"unknown attribute {a!r}")
         x |= 1 << lookup[a]
-    closed = _closure2_mask(ctx2, x)
+    closed = _closure_mask(ctx2, x)
     return frozenset(ctx2.dims[1][i] for i in range(len(ctx2.dims[1])) if closed >> i & 1)
-
-
-def _object_masks(ctx2: NContext) -> list[int]:
-    masks = [0] * len(ctx2.dims[0])
-    for (o, a) in ctx2.relation:
-        masks[o] |= 1 << a
-    return masks
-
-
-def _closure2_mask(ctx2: NContext, x: int) -> int:
-    full = (1 << len(ctx2.dims[1])) - 1
-    common = full
-    for dmask in _object_masks(ctx2):
-        if dmask & x == x:
-            common &= dmask
-    return common
 
 
 def holds(ctx2: NContext, imp: Implication) -> bool:
     """Whether the implication is valid in the 2-context."""
-    premise = _attr_indices(ctx2, imp.premise)
-    conclusion = _attr_indices(ctx2, imp.conclusion)
-    pmask = 0
-    for i in premise:
-        pmask |= 1 << i
-    closed = _closure2_mask(ctx2, pmask)
-    return all(closed >> i & 1 for i in conclusion)
+    premise = _attr_mask(ctx2, imp.premise)
+    conclusion = _attr_mask(ctx2, imp.conclusion)
+    return not conclusion & ~_closure_mask(ctx2, premise)
 
 
 def implication_support(ctx2: NContext, imp: Implication) -> frozenset[str]:
     """Labels of the objects whose row contains the whole premise."""
-    premise = _attr_indices(ctx2, imp.premise)
-    pmask = 0
-    for i in premise:
-        pmask |= 1 << i
-    masks = _object_masks(ctx2)
-    return frozenset(
-        ctx2.dims[0][o] for o in range(len(masks)) if masks[o] & pmask == pmask
-    )
+    support = extent(object_rows(ctx2), _attr_mask(ctx2, imp.premise))
+    return frozenset(label for o, label in enumerate(ctx2.dims[0]) if support >> o & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +141,7 @@ def dg_base(ctx2: NContext, cap: int = DG_ATTRIBUTE_CAP) -> list[Implication]:
     m = len(ctx2.dims[1])
     if m > cap:
         raise ResourceLimitError(f"{m} attributes exceed the cap of {cap}")
-    obj_masks = _object_masks(ctx2)
-    full = (1 << m) - 1
-
-    def intent(x: int) -> int:
-        common = full
-        for dmask in obj_masks:
-            if dmask & x == x:
-                common &= dmask
-        return common
-
+    rows = object_rows(ctx2)
     base: list[tuple[int, int]] = []
 
     def star(x: int) -> int:
@@ -177,25 +154,10 @@ def dg_base(ctx2: NContext, cap: int = DG_ATTRIBUTE_CAP) -> list[Implication]:
                     changed = True
         return x
 
-    a = star(0)
-    while True:
-        closed = intent(a)
+    for a in next_closures(m, star):
+        closed = closure(rows, a, (1 << m) - 1)
         if closed != a:
             base.append((a, closed))
-        nxt = None
-        cur = a
-        for i in range(m - 1, -1, -1):
-            bit = 1 << i
-            if cur & bit:
-                cur &= ~bit
-            else:
-                b = star(cur | bit)
-                if (b & ~cur) & (bit - 1) == 0:
-                    nxt = b
-                    break
-        if nxt is None:
-            break
-        a = nxt
 
     labels = ctx2.dims[1]
 

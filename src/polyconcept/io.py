@@ -36,10 +36,10 @@ def _strip_comment(raw: str) -> str:
 
 
 class ParseError(ValueError):
-    """Malformed context file; carries the 1-based line number."""
+    """Malformed input; carries the 1-based line number, or None for no one line."""
 
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
+    def __init__(self, lineno: int | None, message: str):
+        super().__init__(message if lineno is None else f"line {lineno}: {message}")
         self.lineno = lineno
 
 
@@ -184,15 +184,32 @@ def serialize_concepts(cs: ConceptSet, fmt: str = "text") -> str:
 
 
 def parse_concepts_json(ctx: NContext, text: str) -> ConceptSet:
-    """Read back a json concept dump against its context."""
-    data = json.loads(text)
+    """Read back a json concept dump against its context.
+
+    Raises ParseError unless the dump is a list of objects, each with a
+    "components" list of one label list per dimension of ctx.
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, exc.msg) from None
+    if not isinstance(data, list):
+        raise ParseError(None, "expected a json list of concepts")
     concepts = []
-    for entry in data:
-        comps = entry["components"]
-        concepts.append(tuple(
-            frozenset(ctx.index_of(d, label) for label in comp)
-            for d, comp in enumerate(comps)
-        ))
+    for i, entry in enumerate(data, start=1):
+        comps = entry.get("components") if isinstance(entry, dict) else None
+        if (not isinstance(comps, list) or len(comps) != ctx.arity
+                or not all(isinstance(comp, list) for comp in comps)):
+            raise ParseError(
+                None, f"concept {i} needs a \"components\" list of {ctx.arity} label lists"
+            )
+        try:
+            concepts.append(tuple(
+                frozenset(ctx.index_of(d, label) for label in comp)
+                for d, comp in enumerate(comps)
+            ))
+        except ValueError as exc:
+            raise ParseError(None, f"concept {i}: {exc}") from None
     return ConceptSet.from_iterable(ctx, concepts)
 
 

@@ -71,6 +71,14 @@ class TestTransformCommands:
         assert code == 1 and out == ""
         assert err == f"error: dimension {dim} out of range 1..3\n"
 
+    def test_slice_without_keep(self, capsys, fig1):
+        from polyconcept import serialize_context
+
+        code, out, err = run(capsys, ["slice", "--dim", "3"],
+                             stdin_text=serialize_context(fig1))
+        assert code == 1 and out == ""
+        assert err == "error: --keep names no labels\n"
+
     def test_sum(self, capsys, tmp_path):
         from polyconcept import contranominal, serialize_context
 
@@ -130,15 +138,18 @@ class TestImplicationCommands:
         ("9=a", "dimension 9 out of range 1..3"),
         ("0=a", "dimension 0 out of range 1..3"),
         ("3=z", "no element 'z' in dimension 3"),
+        ("3", "{option} entry '3' names no labels"),
+        ("x=a", "{option} entry 'x=a' needs an integer DIM"),
     ])
     def test_impl_check_bad_slice_entry(self, capsys, fig1, entry, message):
         from polyconcept import serialize_context
 
-        code, out, err = run(capsys, ["impl-check", "--impl", "3 -> 1,2",
-                                      "--slice", entry],
-                             stdin_text=serialize_context(fig1))
-        assert code == 1 and out == ""
-        assert err == f"error: {message}\n"
+        for option, value in (("--slice", entry), ("--scope", f"slice:{entry}")):
+            code, out, err = run(capsys, ["impl-check", "--impl", "3 -> 1,2",
+                                          option, value],
+                                 stdin_text=serialize_context(fig1))
+            assert code == 1 and out == ""
+            assert err == f"error: {message.format(option=option)}\n"
 
     def test_classify(self, capsys, fig3l):
         from polyconcept import serialize_context
@@ -177,6 +188,13 @@ class TestBoundsAndSearch:
         code, out, _ = run(capsys, ["search", "-n", "2", "-s", "2"])
         assert code == 0
         assert "exact maximum: 4" in out
+
+    def test_search_over_cap_is_one_line(self, capsys):
+        code, out, err = run(capsys, ["search", "-n", "3", "-s", "3"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: search space of 134217728 relations exceeds the cap")
+        assert err.count("\n") == 1
+        assert "--max-relations" in err
 
     def test_bounds_witness_out(self, capsys, tmp_path):
         target = tmp_path / "witness.nctx"
@@ -225,16 +243,3 @@ class TestExitCodes:
     def test_missing_file_is_1(self, capsys):
         code, _, err = run(capsys, ["count", "/nonexistent/path.nctx"])
         assert code == 1
-
-    def test_threads_flag_does_not_change_output(self, capsys):
-        code, base, _ = run(capsys, ["gen", "contranominal", "-n", "3", "-s", "2"])
-        code, threaded, _ = run(
-            capsys, ["--threads", "4", "gen", "contranominal", "-n", "3", "-s", "2"]
-        )
-        assert base == threaded
-
-    def test_bad_threads_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--threads", "0", "count"])
-        assert exc.value.code == 2
-        capsys.readouterr()

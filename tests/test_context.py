@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyconcept import (
-    Box,
     ConceptSet,
     NContext,
     box_full,
@@ -190,14 +189,3 @@ class TestFeatures:
         single = [(frozenset({0}), frozenset({1}), frozenset({0}))]
         assert len(features(single)) == 1
 
-
-class TestBox:
-    def test_cells(self):
-        box = Box((1, 2), (frozenset({0, 1}), frozenset({0})))
-        assert box.cells() == frozenset({(0, 0), (1, 0)})
-        empty = Box((1, 2), (frozenset(), frozenset({0})))
-        assert empty.cells() == frozenset()
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            Box((1,), (frozenset(), frozenset()))

@@ -104,6 +104,16 @@ class TestCount:
         assert count_concepts(ctx) == 1
         assert len(brute_force_concepts(ctx)) == 1
 
+    @pytest.mark.parametrize("shape", [
+        (2, 2), (3, 3), (2, 2, 2), (3, 3, 2), (2, 2, 2, 2), (3, 2, 2, 2),
+    ])
+    def test_matches_oracle_count(self, shape):
+        rng = random.Random(str(shape))
+        densities = [0.0, 1.0] + [rng.random() for _ in range(6)]
+        for seed, density in enumerate(densities):
+            ctx = random_context(shape, density, seed=seed)
+            assert count_concepts(ctx) == len(brute_force_concepts(ctx)), (density, seed)
+
     def test_counts_stay_below_naive_upper(self):
         rng = random.Random(31)
         for trial in range(30):

@@ -97,6 +97,18 @@ class TestSerializeConcepts:
         text = serialize_concepts(cs, "json")
         assert parse_concepts_json(fig3l, text).concepts == cs.concepts
 
+    @pytest.mark.parametrize("text", [
+        '[{"component": [[], [], []]}]',
+        '{"components": [[], [], []]}',
+        '[{"components": [["α"], ["1"]]}]',
+        '[{"components": [["α"], ["1"], ["a"], ["a"]]}]',
+        '[{"components": [["α"], ["1"], ["zz"]]}]',
+        '[{"components": ',
+    ])
+    def test_json_malformed_dump(self, fig3l, text):
+        with pytest.raises(ParseError):
+            parse_concepts_json(fig3l, text)
+
     def test_json_shape(self, fig3l):
         data = json.loads(serialize_concepts(enumerate_concepts(fig3l), "json"))
         assert all(set(entry) == {"components"} for entry in data)
