@@ -119,8 +119,10 @@ def exhaustive_max_concepts(
     dimension and element permutations are examined; the maximum is
     unchanged.  A max_relations budget turns the result into a lower bound
     (exact=False) when the scan stops early.  Without a budget the search
-    refuses spaces above 2**20 relations.
+    refuses spaces above 2**20 relations.  A budget below 1 is a ValueError.
     """
+    if max_relations is not None and max_relations < 1:
+        raise ValueError(f"max_relations must be at least 1, got {max_relations}")
     total_cells = s ** n
     space = 2 ** total_cells
     if max_relations is None and space > SEARCH_SPACE_CAP:

@@ -247,7 +247,12 @@ def _run(args) -> int:
         out.write("equivalent\n" if same else "not equivalent\n")
         return 0
     if args.command == "bounds":
-        report = bounds_report(args.arity, args.side, run_search=args.search)
+        try:
+            report = bounds_report(args.arity, args.side, run_search=args.search)
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(str(exc).replace(
+                "pass max_relations", "use 'polyconcept search --max-relations N'"
+            )) from None
         if args.witness_out and report.witnesses:
             with open(args.witness_out, "w", encoding="utf-8") as fh:
                 fh.write(serialize_context(report.witnesses[0]))
@@ -261,8 +266,8 @@ def _run(args) -> int:
                 symmetry_reduction=not args.no_symmetry,
                 max_relations=args.max_relations,
             )
-        except ResourceLimitError as exc:
-            raise ResourceLimitError(str(exc).replace("max_relations", "--max-relations")) from None
+        except (ValueError, ResourceLimitError) as exc:
+            raise type(exc)(str(exc).replace("max_relations", "--max-relations")) from None
         kind = "exact maximum" if result.exact else "lower bound (partial search)"
         out.write(f"{kind}: {result.max_count}\n")
         out.write(f"witnesses up to symmetry: {len(result.witnesses)}\n")
@@ -279,8 +284,10 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The parser dies here, before the command runs, so the collector frees
+    # its reference cycles while they are young instead of keeping them for
+    # a full collection.
+    args = build_parser().parse_args(argv)
     try:
         return _run(args)
     except (ValueError, OSError, ResourceLimitError) as exc:

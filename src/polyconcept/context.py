@@ -257,19 +257,29 @@ def from_dense(arr: np.ndarray, dims: Sequence[Sequence[str]] | None = None) -> 
 #
 # A relation over sizes (j1, ..., jn) is one int over its cells in row-major
 # order: cell (x1, ..., xn) is bit x1*w1 + ... + xn*wn for the strides w.  A
-# subset of one dimension is an int with bit x set for element x.  Row x of a
+# subset of one dimension is an int with bit x set for element x, or bit
+# x*w for a stride w where that is handier (members reads both).  Row x of a
 # relation is the mask, over the cells of dimensions 2..n, of the cells whose
 # first coordinate is x: the row of object x in the objects-vs-rest
-# flattening.  Rows and masks are built per call; nothing is cached.
+# flattening.  closed_sets walks the closed row sets of such rows by
+# Close-by-One, in no fixed order, for the enumerator; next_closures walks
+# them by NextClosure in lectic order, which the Duquenne-Guigues base
+# needs.  Rows and masks are built per call; nothing is cached.
 
 
 def _strides(sizes: Sequence[int]) -> list[int]:
     return [prod(sizes[d + 1:]) for d in range(len(sizes))]
 
 
-def relation_mask(ctx: NContext) -> int:
-    """The relation of ctx as a row-major cell mask."""
-    strides = _strides(ctx.sizes)
+def relation_mask(ctx: NContext, order: Sequence[int] | None = None) -> int:
+    """The relation of ctx as a row-major cell mask.
+
+    With order, dimension order[k] of ctx is laid out as dimension k.
+    """
+    order = range(ctx.arity) if order is None else order
+    strides = [0] * ctx.arity
+    for d, w in zip(order, _strides([ctx.sizes[d] for d in order])):
+        strides[d] = w
     rel = 0
     for t in ctx.relation:
         rel |= 1 << sum(x * w for x, w in zip(t, strides))
@@ -286,9 +296,10 @@ def element_masks(sizes: Sequence[int]) -> list[list[int]]:
     return out
 
 
-def members(mask: int) -> frozenset[int]:
-    """The elements of a subset mask."""
-    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
+def members(mask: int, stride: int = 1) -> frozenset[int]:
+    """The elements of a subset mask that marks element x by bit x * stride."""
+    top = -(-mask.bit_length() // stride)
+    return frozenset(x for x in range(top) if mask >> (x * stride) & 1)
 
 
 def box_columns(elems: list[list[int]], comps: Sequence[int]) -> list[int]:
@@ -361,12 +372,54 @@ def closure(rows: Sequence[int], y: int, full: int) -> int:
     return intent(rows, extent(rows, y), full)
 
 
+def closed_sets(
+    rows: Sequence[int], full: int, marks: Sequence[int]
+) -> Iterator[tuple[int, int]]:
+    """Every closed row set of the dyadic context rows with its intent, once each.
+
+    An extent is the union of marks[x] over its rows x, such as 1 << x.
+    Close-by-One (Kuznetsov 1993): the intent of A plus row i is
+    intent(A) & rows[i], so no intent is recomputed.  The child is kept only
+    when no row j < i outside A holds that intent; the rest of its extent
+    then comes from the rows after i.  Pairs come in no particular order.
+    """
+    top = 0
+    after = []
+    for mark, row in zip(marks, rows):
+        if row & full == full:
+            top |= mark
+        else:
+            after.append((mark, row))
+    # (extent, intent, rows outside it before every candidate, (mark, row)
+    # of each candidate: the rows outside it after its generator)
+    stack = [(top, full, [], after)]
+    while stack:
+        a, y, before, after = stack.pop()
+        yield a, y
+        for k, (mark, row) in enumerate(after):
+            b = y & row
+            for other in before:
+                if other & b == b:
+                    break
+            else:
+                c = a | mark
+                rest = []
+                for pair in after[k + 1:]:
+                    if pair[1] & b == b:
+                        c |= pair[0]
+                    else:
+                        rest.append(pair)
+                stack.append((c, b, before[:], rest))
+            before.append(row)
+
+
 def next_closures(m: int, close: Callable[[int], int]) -> Iterator[int]:
     """Every set over m bits that close fixes, in lectic order (NextClosure).
 
     Bit 0 is the most significant.  close is called afresh at each step, so
     it may depend on what the caller did with the sets yielded so far, as
-    the Duquenne-Guigues base needs.
+    the Duquenne-Guigues base needs; it also needs the lectic order, which
+    closed_sets does not keep.
     """
     a = close(0)
     while True:

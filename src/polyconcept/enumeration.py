@@ -3,12 +3,16 @@
 Two routes are provided on purpose.  brute_force_concepts tests every
 candidate tuple of subsets for a maximal full box; it is exact by
 construction and serves as the correctness oracle.  enumerate_concepts goes
-objects first, after TRIAS (Jäschke et al., ICDM 2006): it walks the closed
-object sets A of the objects-vs-rest flattening with NextClosure, recurses
-into the (n-1)-context of the cells that every object of A has, and keeps a
-concept of that context when the objects whose rows hold its box are
-exactly A.  Each concept then appears once, so count_concepts counts a
-stream.  Both routes return the same set wherever the oracle can run.
+objects first, after TRIAS (Jäschke et al., ICDM 2006).  It lays the
+relation out with its dimensions sorted by size, smallest outermost (a
+stable sort), and walks the closed object sets A of the objects-vs-rest
+flattening by Close-by-One, each with its intent: the (n-1)-context of the
+cells every object of A has.  It recurses into that context and keeps a
+concept of it when no object outside A has a row holding its box; at two
+dimensions the closed sets are the concepts.  The components are mapped
+back to the input's dimension order at the end.  Each concept then appears
+once, so count_concepts counts a stream.  Both routes return the same set
+wherever the oracle can run.
 """
 
 from __future__ import annotations
@@ -22,11 +26,9 @@ from .context import (
     NContext,
     ResourceLimitError,
     box_is_concept,
+    closed_sets,
     element_masks,
-    extent,
-    intent,
     members,
-    next_closures,
     relation_mask,
     split_rows,
 )
@@ -56,29 +58,50 @@ def brute_force_concepts(ctx: NContext, cap: int = BRUTE_FORCE_CAP) -> ConceptSe
 
 
 def _concepts(sizes: Sequence[int], rel: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each concept of the relation rel over sizes once: (component masks, box cells)."""
-    if len(sizes) == 1:
-        yield (rel,), rel
-        return
+    """Each concept of the relation rel over sizes once: (component masks, box cells).
+
+    Component d marks element x by bit x * w_d, w_d being the stride of
+    dimension d, that is by the cell with coordinate x there and 0 elsewhere.
+    So the box of (A, B) is B's box times A's mask.
+    """
     width = prod(sizes[1:])
-    full = (1 << width) - 1
     rows = split_rows(rel, sizes[0], width)
-    for a in next_closures(sizes[0], lambda a: extent(rows, intent(rows, a, full))):
-        lift = sum(1 << (x * width) for x in range(sizes[0]) if a >> x & 1)
-        for comps, box in _concepts(sizes[1:], intent(rows, a, full)):
-            if extent(rows, box) == a:
-                yield (a,) + comps, box * lift
+    marks = [1 << (x * width) for x in range(sizes[0])]
+    pairs = closed_sets(rows, (1 << width) - 1, marks)
+    if len(sizes) == 2:
+        for a, y in pairs:
+            yield (a, y), y * a
+        return
+    for a, y in pairs:
+        outside = [row for row, mark in zip(rows, marks) if not a & mark]
+        for comps, box in _concepts(sizes[1:], y):
+            for row in outside:
+                if row & box == box:
+                    break
+            else:
+                yield (a,) + comps, box * a
+
+
+def _by_size(ctx: NContext) -> tuple[list[int], Iterator[tuple[int, ...]]]:
+    """The dimensions ordered by size, smallest first (a stable sort), and
+    the component masks of every concept of ctx laid out in that order."""
+    order = sorted(range(ctx.arity), key=lambda d: ctx.sizes[d])
+    found = _concepts([ctx.sizes[d] for d in order], relation_mask(ctx, order))
+    return order, (comps for comps, _ in found)
 
 
 def enumerate_concepts(ctx: NContext) -> ConceptSet:
     """All concepts, found objects first; output order is canonical."""
-    found = [
-        tuple(members(m) for m in comps)
-        for comps, _ in _concepts(ctx.sizes, relation_mask(ctx))
-    ]
-    return ConceptSet.from_iterable(ctx, found)
+    order, found = _by_size(ctx)
+    # (input dimension, its place in the layout, its stride there)
+    layout = sorted(
+        (d, k, prod(ctx.sizes[e] for e in order[k + 1:])) for k, d in enumerate(order)
+    )
+    return ConceptSet.from_iterable(ctx, [
+        tuple(members(comps[k], w) for _, k, w in layout) for comps in found
+    ])
 
 
 def count_concepts(ctx: NContext) -> int:
     """Number of concepts of ctx, counted as they are found."""
-    return sum(1 for _ in _concepts(ctx.sizes, relation_mask(ctx)))
+    return sum(1 for _ in _by_size(ctx)[1])

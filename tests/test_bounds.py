@@ -96,6 +96,11 @@ class TestExhaustiveSearch:
         assert result.examined == 3
         assert result.max_count <= 4
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_is_rejected(self, budget):
+        with pytest.raises(ValueError, match=f"at least 1, got {budget}"):
+            exhaustive_max_concepts(2, 2, max_relations=budget)
+
     def test_cap_on_large_spaces(self):
         with pytest.raises(ResourceLimitError):
             exhaustive_max_concepts(3, 3)

@@ -196,6 +196,20 @@ class TestBoundsAndSearch:
         assert err.count("\n") == 1
         assert "--max-relations" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_search_budget_below_one(self, capsys, budget):
+        code, out, err = run(capsys, ["search", "-n", "2", "-s", "2",
+                                      "--max-relations", budget])
+        assert code == 1 and out == ""
+        assert err == f"error: --max-relations must be at least 1, got {budget}\n"
+
+    def test_bounds_over_cap_points_at_search(self, capsys):
+        code, out, err = run(capsys, ["bounds", "-n", "3", "-s", "3", "--search"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: search space of 134217728 relations exceeds the cap")
+        assert err.count("\n") == 1
+        assert "use 'polyconcept search --max-relations N'" in err
+
     def test_bounds_witness_out(self, capsys, tmp_path):
         target = tmp_path / "witness.nctx"
         code, out, _ = run(capsys, ["bounds", "-n", "4", "-s", "3",

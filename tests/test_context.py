@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from polyconcept import (
     random_context,
     to_dense,
 )
+from polyconcept.context import closed_sets, extent, intent, next_closures
 
 
 def idx(ctx, dim, label):
@@ -189,3 +192,19 @@ class TestFeatures:
         single = [(frozenset({0}), frozenset({1}), frozenset({0}))]
         assert len(features(single)) == 1
 
+
+
+class TestClosedSets:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_next_closure(self, seed):
+        rng = random.Random(seed)
+        m, width, density = rng.randint(1, 7), rng.randint(1, 7), rng.random()
+        full = (1 << width) - 1
+        rows = [sum(1 << c for c in range(width) if rng.random() < density)
+                for _ in range(m)]
+        want = [(a, intent(rows, a, full)) for a in
+                next_closures(m, lambda a: extent(rows, intent(rows, a, full)))]
+        assert sorted(closed_sets(rows, full, [1 << x for x in range(m)])) == sorted(want)
+        marks = [1 << (3 * x) for x in range(m)]
+        spread = [(sum(marks[x] for x in range(m) if a >> x & 1), y) for a, y in want]
+        assert sorted(closed_sets(rows, full, marks)) == sorted(spread)

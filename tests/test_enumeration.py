@@ -121,3 +121,20 @@ class TestCount:
             ctx = random_context((s,) * n, rng.random(), seed=trial)
             _, upper = naive_bounds(n, s)
             assert count_concepts(ctx) <= upper
+
+
+class TestSizeOrder:
+    """Shapes whose sizes are not ascending: the enumerator lays the
+    dimensions out smallest first and must map the components back."""
+
+    @pytest.mark.parametrize("shape", [
+        (4, 2), (3, 1, 2), (4, 3, 2), (2, 4, 3), (3, 2, 2, 1), (1, 2, 3, 2),
+    ])
+    def test_matches_oracle(self, shape):
+        rng = random.Random(str(shape))
+        densities = [0.0, 1.0] + [rng.random() for _ in range(6)]
+        for seed, density in enumerate(densities):
+            ctx = random_context(shape, density, seed=seed)
+            oracle = brute_force_concepts(ctx)
+            assert enumerate_concepts(ctx) == oracle, (density, seed)
+            assert count_concepts(ctx) == len(oracle), (density, seed)
