@@ -27,7 +27,7 @@ for n in (2, 3, 4):
 
 # Exhaustive search at tiny shapes.  With isomorph rejection only canonical
 # relations are scanned; the maximum is unchanged.
-for n, s in [(2, 2), (2, 3), (3, 2)]:
+for n, s in [(2, 2), (2, 3), (3, 2), (4, 2)]:
     result = exhaustive_max_concepts(n, s)
     print(f"\nexact maximum at ({n},{s}): {result.max_count} "
           f"({result.examined} canonical relations scanned, "

@@ -5,6 +5,12 @@ lower_bound_context_4d builds the 4-dimensional witness family from rook
 contexts and contranominal scales via direct sums.  exhaustive_max_concepts
 searches every cubic relation of a given shape, with optional isomorph
 rejection, and bounds_report assembles everything into one record.
+
+The symmetry group is built once per search as numpy lookup tables that
+give the image of each chunk of a relation mask under every element, in
+64-bit words; a relation is kept when the mask is the least image of its
+orbit.  Kept relations are counted by the enumeration kernel, and each
+witness is recounted by brute_force_concepts.
 """
 
 from __future__ import annotations
@@ -12,15 +18,22 @@ from __future__ import annotations
 import csv
 import io as _io
 from dataclasses import dataclass, field
-from itertools import permutations, product
-from typing import Optional
+from itertools import chain, islice, permutations, product
+from math import factorial
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .context import NContext, ResourceLimitError
-from .enumeration import brute_force_concepts
+import numpy as np
+
+from .context import NContext, ResourceLimitError, relation_mask
+from .enumeration import _concepts, brute_force_concepts
 from .generators import contranominal, fixture, _numeric
 from .transforms import direct_sum
 
 SEARCH_SPACE_CAP = 2 ** 20
+GROUP_CAP = 2 ** 23  # group order times cells
+TABLE_BYTES = 2 ** 20
+WORD = 64
+BLOCK = 8  # masks per _canonical call
 
 ROOK_SIDE = 3
 ROOK_CONCEPTS = 112
@@ -78,27 +91,86 @@ class SearchResult:
     examined: int
 
 
-def _cell_permutations(n: int, s: int) -> list[list[int]]:
-    """Index maps of the symmetry group: dimension swaps and element perms."""
-    cells = list(product(range(s), repeat=n))
-    index = {t: i for i, t in enumerate(cells)}
-    maps = []
-    for dim_perm in permutations(range(n)):
-        for elem_perms in product(list(permutations(range(s))), repeat=n):
-            mapping = [0] * len(cells)
-            for i, t in enumerate(cells):
-                moved = tuple(elem_perms[d][t[dim_perm[d]]] for d in range(n))
-                mapping[i] = index[moved]
-            maps.append(mapping)
-    return maps
+def _group(n: int, s: int) -> np.ndarray:
+    """The symmetry group of shape (n, s) as a (|G|, cells) array of cell maps.
+
+    Element (p, q_0, ..., q_{n-1}) of dimension and element permutations
+    moves cell t to the cell whose coordinate d is q_d[t[p[d]]].  Cells are
+    numbered row-major, as in relation_mask.
+    """
+    order = factorial(n) * factorial(s) ** n
+    if order * s ** n > GROUP_CAP:
+        raise ResourceLimitError(
+            f"symmetry group of order {order} on {s ** n} cells exceeds the cap of "
+            f"{GROUP_CAP} element-cells"
+        )
+    coords = np.indices((s,) * n, dtype=np.int32).reshape(n, -1)
+    # at s = 1 the group is n! copies of the identity; int8 keeps them small
+    dim_perms = np.fromiter(chain.from_iterable(permutations(range(n))), np.int8).reshape(-1, n)
+    elem_perms = np.array(list(permutations(range(s))), dtype=np.int32)
+    # axes: dimension permutation, then one element permutation per
+    # dimension, then the cell
+    moved = sum(
+        np.expand_dims(
+            elem_perms[:, coords[dim_perms[:, d]]].swapaxes(0, 1),
+            tuple(e + 1 for e in range(n) if e != d),
+        ) * s ** (n - 1 - d)
+        for d in range(n)
+    )
+    return moved.reshape(order, s ** n)
 
 
-def _apply(mapping: list[int], mask: int, total: int) -> int:
-    out = 0
-    for i in range(total):
-        if mask >> i & 1:
-            out |= 1 << mapping[i]
-    return out
+def _tables(n: int, s: int) -> np.ndarray:
+    """tables[c, v, u, g]: word u (least significant first) of the image of
+    the mask v << (c * width) under group element g.
+
+    The chunk width is the largest in 1..9 whose tables fit in TABLE_BYTES,
+    and 1 when none does.
+    """
+    group = _group(n, s)
+    order, cells = group.shape
+    words = -(-cells // WORD)
+    width = max([w for w in range(1, 10)
+                 if -(-cells // w) * 2 ** w * words * order * 8 <= TABLE_BYTES], default=1)
+    tables = np.zeros((-(-cells // width), 2 ** width, words, order), dtype=np.uint64)
+    elements = np.arange(order)
+    for i in range(cells):
+        c, j = divmod(i, width)
+        image = np.zeros((words, order), dtype=np.uint64)
+        word, bit = np.divmod(group[:, i], WORD)
+        image[word, elements] = np.uint64(1) << bit.astype(np.uint64)
+        tables[c, 2 ** j:2 ** (j + 1)] = tables[c, :2 ** j] | image
+    return tables
+
+
+def _canonical(tables: np.ndarray, masks: Sequence[int]) -> list[int]:
+    """The least image of each mask under the group of tables, as one block.
+
+    Words are compared most significant first: the least is the numeric one.
+    """
+    chunks, values, words, _ = tables.shape
+    width = values.bit_length() - 1
+    keys = np.array([[m >> (c * width) & (values - 1) for c in range(chunks)] for m in masks])
+    images = tables[0, keys[:, 0]]
+    for c in range(1, chunks):
+        images |= tables[c, keys[:, c]]
+    least = [0] * len(masks)
+    for u in reversed(range(words)):
+        low = images[:, u].min(axis=1)
+        if u:
+            # an image above the least in word u is out of the running
+            images[:, :u] = np.where(
+                (images[:, u] == low[:, None])[:, None], images[:, :u], np.uint64(2 ** WORD - 1)
+            )
+        least = [m << WORD | int(x) for m, x in zip(least, low.tolist())]
+    return least
+
+
+def _least_images(tables: np.ndarray, masks: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(mask, its least image) for each of masks, BLOCK masks per _canonical call."""
+    masks = iter(masks)
+    while block := list(islice(masks, BLOCK)):
+        yield from zip(block, _canonical(tables, block))
 
 
 def _context_from_mask(n: int, s: int, mask: int) -> NContext:
@@ -115,71 +187,58 @@ def exhaustive_max_concepts(
 ) -> SearchResult:
     """Exact maximum concept count over all cubic contexts of shape (n, s).
 
-    With symmetry reduction only lexicographically minimal relations under
-    dimension and element permutations are examined; the maximum is
-    unchanged.  A max_relations budget turns the result into a lower bound
-    (exact=False) when the scan stops early.  Without a budget the search
-    refuses spaces above 2**20 relations.  A budget below 1 is a ValueError.
+    Relation masks are scanned in ascending order.  With symmetry reduction
+    only the least mask of each orbit under dimension and element
+    permutations is examined; the maximum is unchanged.  A max_relations
+    budget turns the result into a lower bound (exact=False) when the scan
+    stops early.  Without a budget the search refuses spaces above
+    SEARCH_SPACE_CAP relations.  Witnesses are deduplicated up to symmetry,
+    so a group above GROUP_CAP is refused either way.  A budget below 1 is
+    a ValueError; a witness whose brute-force recount differs a RuntimeError.
     """
     if max_relations is not None and max_relations < 1:
         raise ValueError(f"max_relations must be at least 1, got {max_relations}")
-    total_cells = s ** n
-    space = 2 ** total_cells
+    naive_bounds(n, s)  # rejects n < 2 and s < 1
+    space = 2 ** s ** n
     if max_relations is None and space > SEARCH_SPACE_CAP:
         raise ResourceLimitError(
             f"search space of {space} relations exceeds the cap of {SEARCH_SPACE_CAP}; "
             "pass max_relations to run a partial scan"
         )
-    maps = _cell_permutations(n, s) if symmetry_reduction else None
+    tables = _tables(n, s)
+    relations = range(space)
+    if symmetry_reduction:
+        relations = (m for m, least in _least_images(tables, relations) if m == least)
     best = -1
     witnesses: list[int] = []
     examined = 0
-    exact = True
-    for mask in range(space):
-        if max_relations is not None and examined >= max_relations:
-            exact = False
-            break
-        if maps is not None:
-            canonical = min(_apply(mp, mask, total_cells) for mp in maps)
-            if canonical != mask:
-                continue
+    for mask in islice(relations, max_relations):
         examined += 1
-        ctx = _context_from_mask(n, s, mask)
-        cnt = len(brute_force_concepts(ctx))
+        cnt = sum(1 for _ in _concepts([s] * n, mask))
         if cnt > best:
             best = cnt
             witnesses = [mask]
         elif cnt == best:
             witnesses.append(mask)
-    dedupe_maps = maps if maps is not None else _cell_permutations(n, s)
-    seen = set()
-    unique = []
-    for mask in witnesses:
-        canonical = min(_apply(mp, mask, total_cells) for mp in dedupe_maps)
-        if canonical not in seen:
-            seen.add(canonical)
-            unique.append(canonical)
-    witnesses = unique
+    unique = sorted({least for _, least in _least_images(tables, witnesses)})
+    contexts = [_context_from_mask(n, s, m) for m in unique]
+    for ctx in contexts:
+        recount = len(brute_force_concepts(ctx))
+        if recount != best:
+            raise RuntimeError(f"witness has {recount} concepts by brute force, not {best}")
+    # the full relation is fixed by every symmetry, so it is kept, and it
+    # is the last mask: the scan was complete exactly when it got there
     return SearchResult(
-        max_count=best,
-        witnesses=[_context_from_mask(n, s, m) for m in sorted(witnesses)],
-        exact=exact,
-        examined=examined,
+        max_count=best, witnesses=contexts, exact=mask == space - 1, examined=examined
     )
 
 
 def canonical_relation_mask(ctx: NContext) -> int:
-    """Lexicographically minimal relation bitmask over the symmetry group."""
+    """Least relation bitmask over the symmetry group (row-major cells)."""
     sizes = set(ctx.sizes)
     if len(sizes) != 1:
         raise ValueError("canonical form is defined for cubic contexts")
-    n, s = ctx.arity, ctx.sizes[0]
-    cells = list(product(range(s), repeat=n))
-    index = {t: i for i, t in enumerate(cells)}
-    mask = 0
-    for t in ctx.relation:
-        mask |= 1 << index[t]
-    return min(_apply(mp, mask, s ** n) for mp in _cell_permutations(n, s))
+    return _canonical(_tables(ctx.arity, ctx.sizes[0]), [relation_mask(ctx)])[0]
 
 
 @dataclass
@@ -204,7 +263,7 @@ class BoundsReport:
             raise ValueError("exact value out of range")
 
 
-SEARCHABLE = {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)}
+SEARCHABLE = {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)}
 
 
 def bounds_report(n: int, s: int, run_search: Optional[bool] = None) -> BoundsReport:
@@ -237,7 +296,12 @@ def bounds_report(n: int, s: int, run_search: Optional[bool] = None) -> BoundsRe
     if run_search is None:
         run_search = (n, s) in SEARCHABLE
     if run_search:
-        result = exhaustive_max_concepts(n, s)
+        try:
+            result = exhaustive_max_concepts(n, s)
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(str(exc).replace(
+                "pass max_relations", f"call exhaustive_max_concepts({n}, {s}, max_relations=N)"
+            )) from None
         if result.exact:
             exact = result.max_count
             if exact >= best:

@@ -251,7 +251,8 @@ def _run(args) -> int:
             report = bounds_report(args.arity, args.side, run_search=args.search)
         except ResourceLimitError as exc:
             raise ResourceLimitError(str(exc).replace(
-                "pass max_relations", "use 'polyconcept search --max-relations N'"
+                f"call exhaustive_max_concepts({args.arity}, {args.side}, max_relations=N)",
+                "use 'polyconcept search --max-relations N'",
             )) from None
         if args.witness_out and report.witnesses:
             with open(args.witness_out, "w", encoding="utf-8") as fh:

@@ -1,8 +1,14 @@
+import random
+import time
+from itertools import permutations, product
+from math import factorial
+
 import pytest
 
 from polyconcept import (
     ResourceLimitError,
     bounds_report,
+    brute_force_concepts,
     contranominal,
     count_concepts,
     exhaustive_max_concepts,
@@ -12,9 +18,38 @@ from polyconcept import (
     render_csv,
     render_text,
 )
-from polyconcept.bounds import canonical_relation_mask
+from polyconcept import bounds
+from polyconcept.bounds import GROUP_CAP, canonical_relation_mask
 
 F3_OF_2 = 9  # established by the exhaustive scan of all 256 relations
+
+
+def plain_group(n, s):
+    """Cell maps of the symmetry group of shape (n, s), built cell by cell."""
+    cells = list(product(range(s), repeat=n))
+    index = {t: i for i, t in enumerate(cells)}
+    return [
+        [index[tuple(q[d][t[p[d]]] for d in range(n))] for t in cells]
+        for p in permutations(range(n))
+        for q in product(list(permutations(range(s))), repeat=n)
+    ]
+
+
+def plain_least_image(group, mask):
+    return min(sum(1 << image[i] for i in range(len(image)) if mask >> i & 1)
+               for image in group)
+
+
+def cycles(image):
+    seen, count = set(), 0
+    for start in range(len(image)):
+        if start not in seen:
+            count += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = image[i]
+    return count
 
 
 class TestNaiveBounds:
@@ -105,6 +140,70 @@ class TestExhaustiveSearch:
         with pytest.raises(ResourceLimitError):
             exhaustive_max_concepts(3, 3)
 
+    @pytest.mark.parametrize("n,s,orbits", [(2, 2, 6), (2, 3, 26), (3, 2, 22),
+                                            (4, 2, 402), (2, 4, 192)])
+    def test_full_scan_examines_one_relation_per_orbit(self, n, s, orbits):
+        group = plain_group(n, s)
+        burnside, rest = divmod(sum(2 ** cycles(g) for g in group), len(group))
+        assert rest == 0 and burnside == orbits
+        assert exhaustive_max_concepts(n, s).examined == orbits
+
+    def test_four_by_two(self):
+        report = bounds_report(4, 2)
+        assert report.exact == report.best_known_lower == 17
+        assert report.best_known_source == "exhaustive-search"
+        assert len(report.witnesses) == 1
+        assert len(brute_force_concepts(report.witnesses[0])) == 17
+
+    def test_witness_recount_must_agree(self, monkeypatch):
+        monkeypatch.setattr(bounds, "brute_force_concepts", lambda ctx: ())
+        with pytest.raises(RuntimeError, match="brute force"):
+            exhaustive_max_concepts(2, 2)
+
+    @pytest.mark.parametrize("s", [6, 8])
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_oversized_group_is_refused_at_once(self, s, symmetry):
+        order = 2 * factorial(s) ** 2
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"group of order {order} "):
+            exhaustive_max_concepts(2, s, symmetry_reduction=symmetry, max_relations=1)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("n,s", [(3, 4), (4, 3), (6, 2), (2, 5)])
+    def test_groups_under_the_cap(self, n, s):
+        assert factorial(n) * factorial(s) ** n * s ** n <= GROUP_CAP
+
+    def test_two_by_five_budget(self):
+        result = exhaustive_max_concepts(2, 5, max_relations=2)
+        assert not result.exact and result.examined == 2
+
+
+class TestCanonicalForm:
+    def test_every_two_by_two_mask(self):
+        group = plain_group(2, 2)
+        masks = range(2 ** 4)
+        assert bounds._canonical(bounds._tables(2, 2), masks) == [
+            plain_least_image(group, m) for m in masks
+        ]
+
+    @pytest.mark.parametrize("n,s,word", [(2, 3, 64), (3, 3, 64), (4, 2, 64),
+                                          (2, 3, 4), (3, 2, 2)])
+    def test_seeded_masks(self, monkeypatch, n, s, word):
+        # a narrow word makes these shapes take the several-word path that
+        # shapes of more than 64 cells take
+        monkeypatch.setattr(bounds, "WORD", word)
+        group = plain_group(n, s)
+        rng = random.Random(13)
+        masks = [rng.getrandbits(s ** n) for _ in range(200)]
+        got = [least for _, least in bounds._least_images(bounds._tables(n, s), masks)]
+        assert got == [plain_least_image(group, m) for m in masks]
+
+    def test_relation_mask_of_a_context(self):
+        ctx = contranominal(3, 2)
+        group = plain_group(3, 2)
+        mask = sum(1 << (4 * a + 2 * b + c) for a, b, c in ctx.relation)
+        assert canonical_relation_mask(ctx) == plain_least_image(group, mask)
+
 
 class TestBoundsReport:
     def test_rook_shape(self):
@@ -124,6 +223,13 @@ class TestBoundsReport:
     def test_three_dimensional_annotation(self):
         report = bounds_report(3, 6, run_search=False)
         assert any("3.359" in a and "3.384" in a for a in report.annotations)
+
+    def test_over_cap_advice_fits_the_library(self):
+        with pytest.raises(ResourceLimitError) as info:
+            bounds_report(3, 3, run_search=True)
+        message = str(info.value)
+        assert "exhaustive_max_concepts(3, 3, max_relations=N)" in message
+        assert "pass max_relations" not in message
 
     def test_search_backed_exact(self):
         report = bounds_report(3, 2)

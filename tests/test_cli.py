@@ -173,6 +173,65 @@ class TestImplicationCommands:
         assert out.strip() == "equivalent"
 
 
+# Full stdout of three searches, fixed byte for byte: the scan order, the
+# canonical form and the choice of witnesses must not change.
+GOLDEN_SEARCHES = [
+    (["search", "-n", "3", "-s", "3", "--max-relations", "40", "--show-witnesses"],
+     """lower bound (partial search): 9
+witnesses up to symmetry: 1
+relations examined: 40
+NCTX 1 3
+sizes 3 3 3
+labels 1 1 2 3
+labels 2 1 2 3
+labels 3 1 2 3
+mode crosses
+1 1 2
+1 1 3
+1 2 1
+1 2 3
+1 3 1
+1 3 2
+"""),
+    (["search", "-n", "4", "-s", "2", "--max-relations", "60", "--show-witnesses"],
+     """lower bound (partial search): 11
+witnesses up to symmetry: 1
+relations examined: 60
+NCTX 1 4
+sizes 2 2 2 2
+labels 1 1 2
+labels 2 1 2
+labels 3 1 2
+labels 4 1 2
+mode crosses
+1 1 1 2
+1 1 2 1
+1 1 2 2
+1 2 1 1
+1 2 1 2
+1 2 2 1
+2 1 1 1
+"""),
+    (["search", "-n", "3", "-s", "2", "--no-symmetry", "--show-witnesses"],
+     """exact maximum: 9
+witnesses up to symmetry: 1
+relations examined: 256
+NCTX 1 3
+sizes 2 2 2
+labels 1 1 2
+labels 2 1 2
+labels 3 1 2
+mode crosses
+1 1 2
+1 2 1
+1 2 2
+2 1 1
+2 1 2
+2 2 1
+"""),
+]
+
+
 class TestBoundsAndSearch:
     def test_bounds_text(self, capsys):
         code, out, _ = run(capsys, ["bounds", "-n", "4", "-s", "3"])
@@ -209,6 +268,25 @@ class TestBoundsAndSearch:
         assert err.startswith("error: search space of 134217728 relations exceeds the cap")
         assert err.count("\n") == 1
         assert "use 'polyconcept search --max-relations N'" in err
+
+    @pytest.mark.parametrize("argv,expected", GOLDEN_SEARCHES)
+    def test_search_output_is_unchanged(self, capsys, argv, expected):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out == expected
+
+    @pytest.mark.parametrize("flags", [[], ["--no-symmetry"]])
+    def test_search_oversized_group_is_one_line(self, capsys, flags):
+        code, out, err = run(capsys, ["search", "-n", "2", "-s", "6",
+                                      "--max-relations", "1"] + flags)
+        assert code == 1 and out == ""
+        assert err.startswith("error: symmetry group of order 1036800 ")
+        assert err.count("\n") == 1
+
+    def test_bounds_searches_four_by_two(self, capsys):
+        code, out, _ = run(capsys, ["bounds", "-n", "4", "-s", "2"])
+        assert code == 0
+        assert "best known lower:   17 (exhaustive-search)" in out
+        assert "exact maximum:      17" in out
 
     def test_bounds_witness_out(self, capsys, tmp_path):
         target = tmp_path / "witness.nctx"
