@@ -3,11 +3,11 @@ Structural versus contextual implications
 =========================================
 
 Implications live in the 2-context obtained by flattening an n-context
-against its object dimension.  Some implications are forced by the feature
-set of the concepts alone; those are structural.  The rest hold only
-because of the way this particular context distributes features over its
-objects; those are contextual, and a canonical form of the context strips
-as many of them as possible.
+against its object dimension; holds reads any context that way.  Some
+implications are forced by the feature set of the concepts alone; those
+are structural.  The rest hold only because of the way this particular
+context distributes features over its objects; those are contextual, and
+a canonical form of the context strips as many of them as possible.
 """
 
 from polyconcept import (
@@ -18,7 +18,6 @@ from polyconcept import (
     fixture,
     holds,
     lattice_equivalent,
-    objects_vs_rest,
     parse_implication,
     slice_dim,
     struct_closure,
@@ -51,8 +50,8 @@ for o, label in enumerate(can.dims[0]):
                              for (a, b) in description(can, o)))
 
 imp = parse_implication("(2,b) -> (1,a)")
-print("contextual in the original:", holds(objects_vs_rest(left), imp))
-print("gone in the canonical form:", not holds(objects_vs_rest(can), imp))
+print("contextual in the original:", holds(left, imp))
+print("gone in the canonical form:", not holds(can, imp))
 
 # Plain dyadic machinery is available too: a Duquenne-Guigues base of the
 # slice that keeps crosses valid for letter a.

@@ -91,6 +91,17 @@ class SearchResult:
     examined: int
 
 
+def _group_order(n: int, s: int) -> int:
+    """The order of the symmetry group of shape (n, s), refused above GROUP_CAP."""
+    order = factorial(n) * factorial(s) ** n
+    if order * s ** n > GROUP_CAP:
+        raise ResourceLimitError(
+            f"symmetry group of order {order} on {s ** n} cells exceeds the cap of "
+            f"{GROUP_CAP} element-cells"
+        )
+    return order
+
+
 def _group(n: int, s: int) -> np.ndarray:
     """The symmetry group of shape (n, s) as a (|G|, cells) array of cell maps.
 
@@ -98,12 +109,7 @@ def _group(n: int, s: int) -> np.ndarray:
     moves cell t to the cell whose coordinate d is q_d[t[p[d]]].  Cells are
     numbered row-major, as in relation_mask.
     """
-    order = factorial(n) * factorial(s) ** n
-    if order * s ** n > GROUP_CAP:
-        raise ResourceLimitError(
-            f"symmetry group of order {order} on {s ** n} cells exceeds the cap of "
-            f"{GROUP_CAP} element-cells"
-        )
+    order = _group_order(n, s)
     coords = np.indices((s,) * n, dtype=np.int32).reshape(n, -1)
     # at s = 1 the group is n! copies of the identity; int8 keeps them small
     dim_perms = np.fromiter(chain.from_iterable(permutations(range(n))), np.int8).reshape(-1, n)
@@ -191,14 +197,16 @@ def exhaustive_max_concepts(
     only the least mask of each orbit under dimension and element
     permutations is examined; the maximum is unchanged.  A max_relations
     budget turns the result into a lower bound (exact=False) when the scan
-    stops early.  Without a budget the search refuses spaces above
-    SEARCH_SPACE_CAP relations.  Witnesses are deduplicated up to symmetry,
-    so a group above GROUP_CAP is refused either way.  A budget below 1 is
-    a ValueError; a witness whose brute-force recount differs a RuntimeError.
+    stops early.  Witnesses are deduplicated up to symmetry, so a group
+    above GROUP_CAP is refused either way, first; without a budget the
+    search then refuses spaces above SEARCH_SPACE_CAP relations.  A budget
+    below 1 is a ValueError; a witness whose brute-force recount differs a
+    RuntimeError.
     """
     if max_relations is not None and max_relations < 1:
         raise ValueError(f"max_relations must be at least 1, got {max_relations}")
     naive_bounds(n, s)  # rejects n < 2 and s < 1
+    _group_order(n, s)  # caps the cells, so the space below can be built
     space = 2 ** s ** n
     if max_relations is None and space > SEARCH_SPACE_CAP:
         raise ResourceLimitError(

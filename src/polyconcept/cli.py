@@ -33,7 +33,7 @@ from .implications import (
     parse_implication,
 )
 from .io import parse_context, serialize_concepts, serialize_context
-from .transforms import Bipartition, direct_sum, flatten, objects_vs_rest, slice_dim
+from .transforms import Bipartition, direct_sum, flatten, slice_dim
 from .verify import render_results, run_checks
 
 
@@ -90,8 +90,6 @@ def _build_scope(ctx: NContext, scope: str, slices: list[str]) -> NContext:
             raise ValueError(f"{option} entry {entry!r} needs an integer DIM") from None
         dim = _dim_index(ctx, number)
         ctx = slice_dim(ctx, dim, _keep(ctx, dim, f"{option} entry {entry!r}", labels_text))
-    if ctx.arity > 2:
-        ctx = objects_vs_rest(ctx)
     return ctx
 
 
@@ -236,7 +234,7 @@ def _run(args) -> int:
         ctx = _read_context(args.context)
         imp = parse_implication(args.impl)
         tag = classify(ctx, imp)
-        support = sorted(implication_support(objects_vs_rest(ctx), imp))
+        support = sorted(implication_support(ctx, imp))
         out.write(f"{imp}: {tag.value} (support: {','.join(support) or 'none'})\n")
         return 0
     if args.command == "minimize":

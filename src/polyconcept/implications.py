@@ -1,11 +1,14 @@
-"""Implications over flattened and sliced contexts.
+"""Implications over the objects-vs-rest flattening of a context.
 
-Implications live in a 2-context obtained from an n-context by slicing and
-flattening.  Beyond plain validity, implications over the objects-vs-rest
-flattening are classified: structural implications are the ones forced by
-the feature set of the concept lattice (they survive any redistribution of
-features across objects), while contextual implications hold in the given
-context only because of how its objects happen to bundle features.
+An implication is stated over the attributes of a 2-context.  holds and
+implication_support read any n-context through its objects-vs-rest
+flattening, whose attributes are the cells of dimensions 2..n labelled
+"(a,b)"; a 2-context is its own flattening, so slicing first gives the
+other scopes.  Beyond plain validity, implications are classified:
+structural implications are the ones forced by the feature set of the
+concept lattice (they survive any redistribution of features across
+objects), while contextual implications hold in the given context only
+because of how its objects happen to bundle features.
 
 The classifier works through the canonical context: the class member whose
 objects are exactly the forced-cohabitation classes of features.  Premises
@@ -14,6 +17,10 @@ canonical object supports owe their consequences to object bundling, which
 is the contextual case.  Premises unsupported in the original context hold
 vacuously and are treated as structural, mirroring the convention that an
 unsupported box implies everything.
+
+Everything runs on the integer-mask kernel: a feature is the tuple of
+component masks over dimensions 2..n that the enumerator yields, so its
+cell mask is their product, and a context is a list of row masks.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
+from math import prod
 from typing import Iterable, Sequence
 
 from .context import (
@@ -28,12 +37,11 @@ from .context import (
     ResourceLimitError,
     closure,
     extent,
-    feature_cells,
     next_closures,
     object_rows,
+    relation_mask,
 )
-from .enumeration import enumerate_concepts
-from .transforms import objects_vs_rest
+from .enumeration import _concepts
 
 Cell = tuple[str, ...]
 
@@ -80,8 +88,12 @@ def _cell_label(cell: Cell) -> str:
     return "(" + ",".join(cell) + ")"
 
 
-def _attr_mask(ctx2: NContext, cells: Iterable[Cell]) -> int:
-    lookup = {label: i for i, label in enumerate(ctx2.dims[1])}
+def _attr_mask(ctx: NContext, cells: Iterable[Cell]) -> int:
+    """The cells as a mask over the attributes of the objects-vs-rest flattening."""
+    labels = [_cell_label(cell) for cell in product(*ctx.dims[1:])]
+    lookup = {label: i for i, label in enumerate(labels)}
+    if len(lookup) < len(labels):
+        raise ValueError("dimension 1 has duplicate labels")
     mask = 0
     for cell in cells:
         label = _cell_label(tuple(cell))
@@ -91,8 +103,8 @@ def _attr_mask(ctx2: NContext, cells: Iterable[Cell]) -> int:
     return mask
 
 
-def _closure_mask(ctx2: NContext, x: int) -> int:
-    return closure(object_rows(ctx2), x, (1 << len(ctx2.dims[1])) - 1)
+def _closure_mask(ctx: NContext, x: int) -> int:
+    return closure(object_rows(ctx), x, (1 << prod(ctx.sizes[1:])) - 1)
 
 
 def closure2(ctx2: NContext, attrs: Iterable[str]) -> frozenset[str]:
@@ -112,17 +124,17 @@ def closure2(ctx2: NContext, attrs: Iterable[str]) -> frozenset[str]:
     return frozenset(ctx2.dims[1][i] for i in range(len(ctx2.dims[1])) if closed >> i & 1)
 
 
-def holds(ctx2: NContext, imp: Implication) -> bool:
-    """Whether the implication is valid in the 2-context."""
-    premise = _attr_mask(ctx2, imp.premise)
-    conclusion = _attr_mask(ctx2, imp.conclusion)
-    return not conclusion & ~_closure_mask(ctx2, premise)
+def holds(ctx: NContext, imp: Implication) -> bool:
+    """Whether the implication is valid in the objects-vs-rest flattening of ctx."""
+    premise = _attr_mask(ctx, imp.premise)
+    conclusion = _attr_mask(ctx, imp.conclusion)
+    return not conclusion & ~_closure_mask(ctx, premise)
 
 
-def implication_support(ctx2: NContext, imp: Implication) -> frozenset[str]:
+def implication_support(ctx: NContext, imp: Implication) -> frozenset[str]:
     """Labels of the objects whose row contains the whole premise."""
-    support = extent(object_rows(ctx2), _attr_mask(ctx2, imp.premise))
-    return frozenset(label for o, label in enumerate(ctx2.dims[0]) if support >> o & 1)
+    support = extent(object_rows(ctx), _attr_mask(ctx, imp.premise))
+    return frozenset(label for o, label in enumerate(ctx.dims[0]) if support >> o & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,23 +186,14 @@ def dg_base(ctx2: NContext, cap: int = DG_ATTRIBUTE_CAP) -> list[Implication]:
 # Canonical context and structural entailment
 
 
-def _feature_extents(ctx: NContext) -> dict[tuple[frozenset[int], ...], frozenset[int]]:
-    """Feature of each concept mapped to its extent (the map is one-to-one)."""
-    out = {}
-    for c in enumerate_concepts(ctx):
-        out[c[1:]] = c[0]
-    return out
+def _features(sizes: Sequence[int], rel: int) -> dict[tuple[int, ...], int]:
+    """Feature of each concept of rel mapped to its extent (the map is one-to-one).
 
-
-def _assemble(ctx: NContext, descriptions: list[tuple[tuple[int, ...], ...]],
-              empty_objects: int) -> NContext:
-    count = len(descriptions) + empty_objects
-    labels = tuple(f"o{i + 1}" for i in range(count))
-    relation = set()
-    for o, desc in enumerate(descriptions):
-        for cell in desc:
-            relation.add((o,) + cell)
-    return NContext((labels,) + ctx.dims[1:], frozenset(relation))
+    A feature is the tuple of component masks over dimensions 2..n, each
+    marking element x by bit x times its stride, so their product is the
+    feature's cell mask; an extent marks object x by bit x * prod(sizes[1:]).
+    """
+    return {comps[1:]: comps[0] for comps, _ in _concepts(sizes, rel)}
 
 
 def canonical_context(ctx: NContext) -> NContext:
@@ -210,14 +213,12 @@ def canonical_context(ctx: NContext) -> NContext:
     that none of its members contains, which may erode maximality.  No
     general preservation proof is known for this construction.
     """
-    feat_extents = _feature_extents(ctx)
-    input_features = frozenset(feat_extents)
-    cellsets = {feature_cells(f) for f in feat_extents}
-    nodes = [
-        f for f, extent in feat_extents.items()
-        if extent and feature_cells(f)
-    ]
-    parent = list(range(len(nodes)))
+    sizes = ctx.sizes
+    width = prod(sizes[1:])
+    feats = _features(sizes, relation_mask(ctx))
+    cellmasks = {prod(f) for f in feats}
+    cells = [prod(f) for f, a in feats.items() if a and prod(f)]
+    parent = list(range(len(cells)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -225,67 +226,52 @@ def canonical_context(ctx: NContext) -> NContext:
             i = parent[i]
         return i
 
-    def union(i: int, j: int):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            if cells[i] & cells[j] not in cellmasks:
+                parent[find(j)] = find(i)
 
-    cells = [feature_cells(f) for f in nodes]
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if cells[i] & cells[j] not in cellsets:
-                union(i, j)
+    groups: dict[int, int] = {}
+    for i, m in enumerate(cells):
+        root = find(i)
+        groups[root] = groups.get(root, 0) | m
+    # rows ordered by their ascending lists of cell indices
+    rows = sorted(groups.values(), key=lambda g: [i for i in range(width) if g >> i & 1])
 
-    groups: dict[int, set[tuple[int, ...]]] = {}
-    for i in range(len(nodes)):
-        groups.setdefault(find(i), set()).update(cells[i])
+    def realises(rows: list[int]) -> bool:
+        rel = sum(row << (o * width) for o, row in enumerate(rows))
+        return _features((len(rows),) + sizes[1:], rel).keys() == feats.keys()
 
-    descriptions = sorted(tuple(sorted(g)) for g in groups.values() if g)
-    if not descriptions:
-        return _assemble(ctx, [], 1)
-    candidate = _assemble(ctx, descriptions, 0)
-    if frozenset(_feature_extents(candidate)) != input_features:
-        padded = _assemble(ctx, descriptions, 1)
-        if frozenset(_feature_extents(padded)) == input_features:
-            return padded
-    return candidate
-
-
-def _cells_to_attrs(ctx: NContext, cells: Iterable[Sequence[str]]) -> frozenset[str]:
-    dims = ctx.dims[1:]
-    out = set()
-    for cell in cells:
-        cell = tuple(cell)
-        if len(cell) != len(dims):
-            raise ValueError(f"cell {cell} has arity {len(cell)}, expected {len(dims)}")
-        for d, label in enumerate(cell):
-            if label not in dims[d]:
-                raise ValueError(f"no element {label!r} in dimension {d + 1}")
-        out.add(_cell_label(cell))
-    return frozenset(out)
-
-
-def _attrs_to_cells(attrs: Iterable[str], arity_rest: int) -> frozenset[Cell]:
-    out = set()
-    for a in attrs:
-        if arity_rest == 1:
-            out.add((a,))
-        else:
-            out.add(tuple(a.strip("()").split(",")))
-    return frozenset(out)
+    if not rows:
+        rows = [0]
+    elif not realises(rows) and realises(rows + [0]):
+        rows.append(0)
+    coords = list(product(*(range(j) for j in sizes[1:])))
+    relation = frozenset(
+        (o,) + coords[i] for o, row in enumerate(rows) for i in range(width) if row >> i & 1
+    )
+    return NContext((tuple(f"o{o + 1}" for o in range(len(rows))),) + ctx.dims[1:], relation)
 
 
 def struct_closure(ctx: NContext, cells: Iterable[Sequence[str]]) -> frozenset[Cell]:
     """Cells forced by the feature set of ctx from the given cells.
 
-    Computed as the dyadic closure in the flattened canonical context, so it
-    is a genuine closure operator: extensive, monotone and idempotent.  A
-    cell set no canonical object supports closes to the full cell space.
+    Computed as the dyadic closure over the rows of the canonical context,
+    so it is a genuine closure operator: extensive, monotone and idempotent.
+    A cell set no canonical object supports closes to the full cell space.
     """
-    attrs = _cells_to_attrs(ctx, cells)
-    can2 = objects_vs_rest(canonical_context(ctx))
-    closed = closure2(can2, attrs)
-    return _attrs_to_cells(closed, ctx.arity - 1)
+    dims = ctx.dims[1:]
+    x = 0
+    for cell in cells:
+        cell = tuple(cell)
+        if len(cell) != len(dims):
+            raise ValueError(f"cell {cell} has arity {len(cell)}, expected {len(dims)}")
+        i = 0
+        for d, label in enumerate(cell):
+            i = i * len(dims[d]) + ctx.index_of(d + 1, label)
+        x |= 1 << i
+    closed = _closure_mask(canonical_context(ctx), x)
+    return frozenset(cell for i, cell in enumerate(product(*dims)) if closed >> i & 1)
 
 
 def classify(ctx: NContext, imp: Implication) -> Classification:
@@ -298,15 +284,14 @@ def classify(ctx: NContext, imp: Implication) -> Classification:
     conclusion; anything else the implication says reflects object bundling,
     so it is contextual.
     """
-    ctx2 = objects_vs_rest(ctx)
-    if not holds(ctx2, imp):
+    if not holds(ctx, imp):
         return Classification.NOT_HOLDING
-    if not implication_support(ctx2, imp):
+    if not implication_support(ctx, imp):
         return Classification.STRUCTURAL
-    can2 = objects_vs_rest(canonical_context(ctx))
-    if not implication_support(can2, imp):
+    can = canonical_context(ctx)
+    if not implication_support(can, imp):
         return Classification.CONTEXTUAL
-    if holds(can2, imp):
+    if holds(can, imp):
         return Classification.STRUCTURAL
     return Classification.CONTEXTUAL
 
@@ -318,9 +303,9 @@ def lattice_equivalent(c1: NContext, c2: NContext) -> bool:
     """
     if c1.dims[1:] != c2.dims[1:]:
         raise ValueError("contexts differ on dimensions 2..n")
-    f1 = frozenset(_feature_extents(c1))
-    f2 = frozenset(_feature_extents(c2))
-    return f1 == f2
+    f1 = _features(c1.sizes, relation_mask(c1))
+    f2 = _features(c2.sizes, relation_mask(c2))
+    return f1.keys() == f2.keys()
 
 
 # ---------------------------------------------------------------------------

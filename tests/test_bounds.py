@@ -169,6 +169,17 @@ class TestExhaustiveSearch:
             exhaustive_max_concepts(2, s, symmetry_reduction=symmetry, max_relations=1)
         assert time.perf_counter() - start < 1
 
+    def test_oversized_group_is_refused_before_the_space_is_built(self):
+        # 2 ** 2 ** 40 would be a 128 GiB integer
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="symmetry group of order "):
+            exhaustive_max_concepts(40, 2, max_relations=1)
+        assert time.perf_counter() - start < 1
+
+    def test_group_cap_comes_before_the_space_cap(self):
+        with pytest.raises(ResourceLimitError, match="group of order 1036800 "):
+            exhaustive_max_concepts(2, 6)
+
     @pytest.mark.parametrize("n,s", [(3, 4), (4, 3), (6, 2), (2, 5)])
     def test_groups_under_the_cap(self, n, s):
         assert factorial(n) * factorial(s) ** n * s ** n <= GROUP_CAP

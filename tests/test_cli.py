@@ -1,5 +1,6 @@
 import io
 import sys
+import time
 
 import pytest
 
@@ -280,6 +281,15 @@ class TestBoundsAndSearch:
                                       "--max-relations", "1"] + flags)
         assert code == 1 and out == ""
         assert err.startswith("error: symmetry group of order 1036800 ")
+        assert err.count("\n") == 1
+
+    def test_search_many_cells_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["search", "-n", "40", "-s", "2",
+                                      "--max-relations", "1"])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error: symmetry group of order ")
         assert err.count("\n") == 1
 
     def test_bounds_searches_four_by_two(self, capsys):

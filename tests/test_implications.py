@@ -6,6 +6,7 @@ import pytest
 from polyconcept import (
     Classification,
     Implication,
+    NContext,
     ResourceLimitError,
     canonical_context,
     classify,
@@ -64,6 +65,28 @@ class TestHolds:
     def test_support(self, fig1):
         flat = objects_vs_rest(fig1)
         assert implication_support(flat, parse_implication("(1,a) -> (3,b)")) == {"α", "β"}
+
+    def test_n_context_reads_cells_not_dimension_2(self, fig1):
+        with pytest.raises(ValueError, match="cell '2' is not an attribute of this context"):
+            holds(fig1, parse_implication("2 -> 3"))
+        with pytest.raises(ValueError, match="cell '1' is not an attribute of this context"):
+            implication_support(fig1, parse_implication("1 -> 2"))
+
+    @pytest.mark.parametrize("arity", [3, 4])
+    def test_n_context_agrees_with_its_flattening(self, arity):
+        rng = random.Random(arity)
+        for trial in range(40):
+            sizes = (rng.randint(1, 5),) + tuple(rng.randint(1, 3) for _ in range(arity - 1))
+            ctx = random_context(sizes, rng.random(), seed=trial)
+            flat = objects_vs_rest(ctx)
+            cells = list(product(*ctx.dims[1:]))
+            for _ in range(5):
+                imp = Implication.make(
+                    [c for c in cells if rng.random() < 0.3],
+                    [c for c in cells if rng.random() < 0.3],
+                )
+                assert holds(ctx, imp) == holds(flat, imp)
+                assert implication_support(ctx, imp) == implication_support(flat, imp)
 
 
 class TestDgBase:
@@ -145,6 +168,20 @@ class TestStructClosure:
         # the canonical objects of fig3l share no cell
         assert struct_closure(fig3l, []) == frozenset()
 
+    def test_labels_with_commas_and_parentheses(self):
+        ctx = context_from_table(
+            [("g", "h"), ("x,y", "(p"), ("a", "b")],
+            [("g", "x,y", "a"), ("g", "(p", "a"), ("h", "(p", "b")],
+        )
+        assert struct_closure(ctx, [("x,y", "a")]) == {("x,y", "a"), ("(p", "a")}
+        assert struct_closure(ctx, [("(p", "b")]) == {("(p", "b")}
+
+    def test_unknown_label_names_its_dimension(self, fig3l):
+        with pytest.raises(ValueError, match="no element '9' in dimension 2"):
+            struct_closure(fig3l, [("9", "a")])
+        with pytest.raises(ValueError, match="no element 'z' in dimension 3"):
+            struct_closure(fig3l, [("1", "z")])
+
     def test_closure_laws(self):
         rng = random.Random(23)
         for trial in range(60):
@@ -209,6 +246,14 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(fig3l, parse_implication("(9,9) -> (1,a)"))
 
+    def test_ambiguous_flattened_labels_are_refused(self):
+        # cells (x,y ; a) and (x ; y,a) would both be the attribute "(x,y,a)"
+        ctx = context_from_table(
+            [("g",), ("x,y", "x"), ("a", "y,a")], [("g", "x,y", "a")]
+        )
+        with pytest.raises(ValueError, match="duplicate labels"):
+            classify(ctx, Implication.make([("x,y", "a")], []))
+
 
 class TestCanonicalContext:
     def test_reference_pair(self, fig5l, fig5r):
@@ -255,6 +300,28 @@ class TestLatticeEquivalent:
     def test_dimension_mismatch(self, fig3l):
         with pytest.raises(ValueError):
             lattice_equivalent(fig3l, fixture("fig7"))
+
+    def test_agrees_with_concept_features(self):
+        # enumerate_concepts(...).features() shares no code with the
+        # component masks lattice_equivalent compares
+        rng = random.Random(41)
+        verdicts = []
+        for trial in range(200):
+            rest = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+            c1 = random_context((rng.randint(1, 5),) + rest, rng.random(), seed=trial)
+            kind = trial % 3
+            if kind == 0:
+                c2 = canonical_context(c1)
+            elif kind == 1:
+                order = list(range(c1.sizes[0]))
+                rng.shuffle(order)
+                c2 = NContext(c1.dims, frozenset((order[t[0]],) + t[1:] for t in c1.relation))
+            else:
+                c2 = random_context((rng.randint(1, 5),) + rest, rng.random(), seed=1000 + trial)
+            same = enumerate_concepts(c1).features() == enumerate_concepts(c2).features()
+            assert lattice_equivalent(c1, c2) == same
+            verdicts.append(same)
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestParseImplication:
