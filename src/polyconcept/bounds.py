@@ -18,13 +18,13 @@ from __future__ import annotations
 import csv
 import io as _io
 from dataclasses import dataclass, field
-from itertools import chain, islice, permutations, product
+from itertools import islice, permutations
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .context import NContext, ResourceLimitError, relation_mask
+from .context import NContext, ResourceLimitError, context_from_mask, relation_mask
 from .enumeration import _concepts, brute_force_concepts
 from .generators import contranominal, fixture, _numeric
 from .transforms import direct_sum
@@ -35,7 +35,6 @@ TABLE_BYTES = 2 ** 20
 WORD = 64
 BLOCK = 8  # masks per _canonical call
 
-ROOK_SIDE = 3
 ROOK_CONCEPTS = 112
 
 KNOWN_3D_LOWER_BASE = 3.359
@@ -107,12 +106,14 @@ def _group(n: int, s: int) -> np.ndarray:
 
     Element (p, q_0, ..., q_{n-1}) of dimension and element permutations
     moves cell t to the cell whose coordinate d is q_d[t[p[d]]].  Cells are
-    numbered row-major, as in relation_mask.
+    numbered row-major, as in relation_mask.  At s = 1 every element is the
+    identity, and the array holds it once.
     """
     order = _group_order(n, s)
+    if s == 1:
+        return np.zeros((1, 1), dtype=np.int32)
     coords = np.indices((s,) * n, dtype=np.int32).reshape(n, -1)
-    # at s = 1 the group is n! copies of the identity; int8 keeps them small
-    dim_perms = np.fromiter(chain.from_iterable(permutations(range(n))), np.int8).reshape(-1, n)
+    dim_perms = np.array(list(permutations(range(n))))
     elem_perms = np.array(list(permutations(range(s))), dtype=np.int32)
     # axes: dimension permutation, then one element permutation per
     # dimension, then the cell
@@ -179,12 +180,6 @@ def _least_images(tables: np.ndarray, masks: Iterable[int]) -> Iterator[tuple[in
         yield from zip(block, _canonical(tables, block))
 
 
-def _context_from_mask(n: int, s: int, mask: int) -> NContext:
-    cells = list(product(range(s), repeat=n))
-    relation = frozenset(t for i, t in enumerate(cells) if mask >> i & 1)
-    return NContext((_numeric(s),) * n, relation)
-
-
 def exhaustive_max_concepts(
     n: int,
     s: int,
@@ -229,7 +224,7 @@ def exhaustive_max_concepts(
         elif cnt == best:
             witnesses.append(mask)
     unique = sorted({least for _, least in _least_images(tables, witnesses)})
-    contexts = [_context_from_mask(n, s, m) for m in unique]
+    contexts = [context_from_mask((_numeric(s),) * n, m) for m in unique]
     for ctx in contexts:
         recount = len(brute_force_concepts(ctx))
         if recount != best:

@@ -82,9 +82,6 @@ class NContext:
         except ValueError:
             raise ValueError(f"no element {label!r} in dimension {dim + 1}") from None
 
-    def label_tuple(self, t: Cell) -> tuple[str, ...]:
-        return tuple(self.dims[d][x] for d, x in enumerate(t))
-
     def __repr__(self) -> str:
         return f"NContext(sizes={self.sizes}, crosses={len(self.relation)})"
 
@@ -258,12 +255,14 @@ def from_dense(arr: np.ndarray, dims: Sequence[Sequence[str]] | None = None) -> 
 # A relation over sizes (j1, ..., jn) is one int over its cells in row-major
 # order: cell (x1, ..., xn) is bit x1*w1 + ... + xn*wn for the strides w.  A
 # subset of one dimension is an int with bit x set for element x, or bit
-# x*w for a stride w where that is handier (members reads both).  Row x of a
-# relation is the mask, over the cells of dimensions 2..n, of the cells whose
-# first coordinate is x: the row of object x in the objects-vs-rest
-# flattening.  closed_sets walks the closed row sets of such rows by
-# Close-by-One, in no fixed order, for the enumerator; next_closures walks
-# them by NextClosure in lectic order, which the Duquenne-Guigues base
+# x*w for a stride w where that is handier (members reads both).
+# relation_mask lays a context out in any dimension order and
+# context_from_mask, its one inverse, reads a mask back into a context.  Row
+# x of a relation is the mask, over the cells of dimensions 2..n, of the
+# cells whose first coordinate is x: the row of object x in the
+# objects-vs-rest flattening.  closed_sets walks the closed row sets of such
+# rows by Close-by-One, in no fixed order, for the enumerator; next_closures
+# walks them by NextClosure in lectic order, which the Duquenne-Guigues base
 # needs.  Rows and masks are built per call; nothing is cached.
 
 
@@ -284,6 +283,12 @@ def relation_mask(ctx: NContext, order: Sequence[int] | None = None) -> int:
     for t in ctx.relation:
         rel |= 1 << sum(x * w for x, w in zip(t, strides))
     return rel
+
+
+def context_from_mask(dims: Sequence[Sequence[str]], rel: int) -> NContext:
+    """The context over dims whose row-major cell mask is rel: relation_mask's inverse."""
+    cells = product(*(range(len(labels)) for labels in dims))
+    return NContext.build(dims, (t for t, bit in zip(cells, reversed(bin(rel))) if bit == "1"))
 
 
 def element_masks(sizes: Sequence[int]) -> list[list[int]]:

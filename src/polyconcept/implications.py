@@ -36,12 +36,16 @@ from .context import (
     NContext,
     ResourceLimitError,
     closure,
+    context_from_mask,
     extent,
+    intent,
     next_closures,
     object_rows,
     relation_mask,
+    split_rows,
 )
 from .enumeration import _concepts
+from .transforms import _joined_label
 
 Cell = tuple[str, ...]
 
@@ -78,25 +82,19 @@ class Implication:
 
     def __str__(self) -> str:
         def side(cells: frozenset[Cell]) -> str:
-            return ",".join(_cell_label(c) for c in sorted(cells))
+            return ",".join(_joined_label(c) for c in sorted(cells))
         return f"{side(self.premise)} -> {side(self.conclusion)}"
-
-
-def _cell_label(cell: Cell) -> str:
-    if len(cell) == 1:
-        return cell[0]
-    return "(" + ",".join(cell) + ")"
 
 
 def _attr_mask(ctx: NContext, cells: Iterable[Cell]) -> int:
     """The cells as a mask over the attributes of the objects-vs-rest flattening."""
-    labels = [_cell_label(cell) for cell in product(*ctx.dims[1:])]
+    labels = [_joined_label(cell) for cell in product(*ctx.dims[1:])]
     lookup = {label: i for i, label in enumerate(labels)}
     if len(lookup) < len(labels):
         raise ValueError("dimension 1 has duplicate labels")
     mask = 0
     for cell in cells:
-        label = _cell_label(tuple(cell))
+        label = _joined_label(tuple(cell))
         if label not in lookup:
             raise ValueError(f"cell {label!r} is not an attribute of this context")
         mask |= 1 << lookup[label]
@@ -196,26 +194,10 @@ def _features(sizes: Sequence[int], rel: int) -> dict[tuple[int, ...], int]:
     return {comps[1:]: comps[0] for comps, _ in _concepts(sizes, rel)}
 
 
-def canonical_context(ctx: NContext) -> NContext:
-    """The class representative that minimises supported contextual implications.
-
-    Features whose cell sets intersect outside the family of feature cell
-    sets must share objects in every context with this feature set, or the
-    intersection box would become a feature of its own; the transitive
-    closure of that relation partitions the realised features into
-    cohabitation classes.  The output has one object per class, described by
-    the union of the class's boxes.  An object with an empty row is appended
-    only when the class objects alone would let a full hyperplane creep in
-    and erase a degenerate feature of the input.
-
-    Feature preservation is exact on sparse contexts such as the bundled
-    reference pairs; on dense contexts a class union can support a feature
-    that none of its members contains, which may erode maximality.  No
-    general preservation proof is known for this construction.
-    """
-    sizes = ctx.sizes
+def _canonical_rows(sizes: tuple[int, ...], rel: int) -> list[int]:
+    """The object rows of the canonical context of rel over sizes (see canonical_context)."""
     width = prod(sizes[1:])
-    feats = _features(sizes, relation_mask(ctx))
+    feats = _features(sizes, rel)
     cellmasks = {prod(f) for f in feats}
     cells = [prod(f) for f, a in feats.items() if a and prod(f)]
     parent = list(range(len(cells)))
@@ -246,11 +228,29 @@ def canonical_context(ctx: NContext) -> NContext:
         rows = [0]
     elif not realises(rows) and realises(rows + [0]):
         rows.append(0)
-    coords = list(product(*(range(j) for j in sizes[1:])))
-    relation = frozenset(
-        (o,) + coords[i] for o, row in enumerate(rows) for i in range(width) if row >> i & 1
-    )
-    return NContext((tuple(f"o{o + 1}" for o in range(len(rows))),) + ctx.dims[1:], relation)
+    return rows
+
+
+def canonical_context(ctx: NContext) -> NContext:
+    """The class representative that minimises supported contextual implications.
+
+    Features whose cell sets intersect outside the family of feature cell
+    sets must share objects in every context with this feature set, or the
+    intersection box would become a feature of its own; the transitive
+    closure of that relation partitions the realised features into
+    cohabitation classes.  The output has one object per class, described by
+    the union of the class's boxes.  An object with an empty row is appended
+    only when the class objects alone would let a full hyperplane creep in
+    and erase a degenerate feature of the input.
+
+    Feature preservation is exact on sparse contexts such as the bundled
+    reference pairs; on dense contexts a class union can support a feature
+    that none of its members contains, which may erode maximality.  No
+    general preservation proof is known for this construction.
+    """
+    rows = _canonical_rows(ctx.sizes, relation_mask(ctx))
+    rel = sum(row << (o * prod(ctx.sizes[1:])) for o, row in enumerate(rows))
+    return context_from_mask((tuple(f"o{o + 1}" for o in range(len(rows))),) + ctx.dims[1:], rel)
 
 
 def struct_closure(ctx: NContext, cells: Iterable[Sequence[str]]) -> frozenset[Cell]:
@@ -270,7 +270,8 @@ def struct_closure(ctx: NContext, cells: Iterable[Sequence[str]]) -> frozenset[C
         for d, label in enumerate(cell):
             i = i * len(dims[d]) + ctx.index_of(d + 1, label)
         x |= 1 << i
-    closed = _closure_mask(canonical_context(ctx), x)
+    rows = _canonical_rows(ctx.sizes, relation_mask(ctx))
+    closed = closure(rows, x, (1 << prod(ctx.sizes[1:])) - 1)
     return frozenset(cell for i, cell in enumerate(product(*dims)) if closed >> i & 1)
 
 
@@ -284,16 +285,20 @@ def classify(ctx: NContext, imp: Implication) -> Classification:
     conclusion; anything else the implication says reflects object bundling,
     so it is contextual.
     """
-    if not holds(ctx, imp):
+    premise = _attr_mask(ctx, imp.premise)
+    conclusion = _attr_mask(ctx, imp.conclusion)
+    width = prod(ctx.sizes[1:])
+    rel = relation_mask(ctx)
+    rows = split_rows(rel, ctx.sizes[0], width)
+    support = extent(rows, premise)
+    if conclusion & ~intent(rows, support, (1 << width) - 1):
         return Classification.NOT_HOLDING
-    if not implication_support(ctx, imp):
-        return Classification.STRUCTURAL
-    can = canonical_context(ctx)
-    if not implication_support(can, imp):
-        return Classification.CONTEXTUAL
-    if holds(can, imp):
-        return Classification.STRUCTURAL
-    return Classification.CONTEXTUAL
+    if support:
+        rows = _canonical_rows(ctx.sizes, rel)
+        support = extent(rows, premise)
+        if not support or conclusion & ~intent(rows, support, (1 << width) - 1):
+            return Classification.CONTEXTUAL
+    return Classification.STRUCTURAL
 
 
 def lattice_equivalent(c1: NContext, c2: NContext) -> bool:

@@ -4,15 +4,22 @@ flatten collapses an n-context to a 2-context whose objects and attributes
 are tuples over the two sides of a dimension bipartition.  slice_dim removes
 one dimension by universally quantifying over a chosen element subset.
 direct_sum combines two contexts so that concept counts multiply.
+
+flatten and slice_dim run on the integer-mask kernel of context.py.  A
+flattening is the relation mask laid out with the left dimensions first,
+read back by context_from_mask under joined labels.  A slice is a
+derivation: in the dyadic context of dimension d against the rest, the
+sliced relation is the intent of the kept elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Iterable, Sequence
 
-from .context import NContext
+from .context import NContext, context_from_mask, intent, relation_mask, split_rows
 
 
 @dataclass(frozen=True)
@@ -52,24 +59,11 @@ def flatten(ctx: NContext, p: Bipartition) -> NContext:
     object-by-cell-pair table.
     """
     p.validate(ctx.arity)
-    left_elems = list(product(*(range(len(ctx.dims[d])) for d in p.left)))
-    right_elems = list(product(*(range(len(ctx.dims[d])) for d in p.right)))
-    left_labels = tuple(
-        _joined_label([ctx.dims[d][x] for d, x in zip(p.left, combo)])
-        for combo in left_elems
-    )
-    right_labels = tuple(
-        _joined_label([ctx.dims[d][x] for d, x in zip(p.right, combo)])
-        for combo in right_elems
-    )
-    left_index = {combo: i for i, combo in enumerate(left_elems)}
-    right_index = {combo: i for i, combo in enumerate(right_elems)}
-    relation = set()
-    for t in ctx.relation:
-        lcombo = tuple(t[d] for d in p.left)
-        rcombo = tuple(t[d] for d in p.right)
-        relation.add((left_index[lcombo], right_index[rcombo]))
-    return NContext((left_labels, right_labels), frozenset(relation))
+    labels = [
+        tuple(_joined_label(cell) for cell in product(*(ctx.dims[d] for d in side)))
+        for side in (p.left, p.right)
+    ]
+    return context_from_mask(labels, relation_mask(ctx, p.left + p.right))
 
 
 def objects_vs_rest(ctx: NContext) -> NContext:
@@ -91,13 +85,11 @@ def slice_dim(ctx: NContext, d: int, keep: Iterable[int]) -> NContext:
     for x in keep:
         if not 0 <= x < len(ctx.dims[d]):
             raise ValueError(f"element index {x} out of range in dimension {d}")
-    new_dims = ctx.dims[:d] + ctx.dims[d + 1:]
-    new_relation = set()
-    for t in product(*(range(len(labels)) for labels in new_dims)):
-        full = all(t[:d] + (x,) + t[d:] in ctx.relation for x in keep)
-        if full:
-            new_relation.add(t)
-    return NContext(new_dims, frozenset(new_relation))
+    rest = tuple(e for e in range(ctx.arity) if e != d)
+    width = prod(ctx.sizes[e] for e in rest)
+    rows = split_rows(relation_mask(ctx, (d,) + rest), ctx.sizes[d], width)
+    rel = intent(rows, sum(1 << x for x in keep), (1 << width) - 1)
+    return context_from_mask(ctx.dims[:d] + ctx.dims[d + 1:], rel)
 
 
 def _disjoint_labels(a: Sequence[str], b: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:

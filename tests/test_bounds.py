@@ -184,6 +184,10 @@ class TestExhaustiveSearch:
     def test_groups_under_the_cap(self, n, s):
         assert factorial(n) * factorial(s) ** n * s ** n <= GROUP_CAP
 
+    def test_side_one_group_is_the_identity_once(self):
+        group = bounds._group(10, 1)
+        assert group.shape == (1, 1) and group[0, 0] == 0
+
     def test_two_by_five_budget(self):
         result = exhaustive_max_concepts(2, 5, max_relations=2)
         assert not result.exact and result.examined == 2

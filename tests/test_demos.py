@@ -1,4 +1,4 @@
-"""Each script under demos/ runs to completion and prints something."""
+"""Each script under demos/ runs to completion, warns nothing and prints something."""
 
 import os
 import subprocess
@@ -20,7 +20,7 @@ def test_demo_runs(script, tmp_path):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error", str(script)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
