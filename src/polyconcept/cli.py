@@ -25,9 +25,9 @@ from .generators import (
     rook_context,
 )
 from .implications import (
+    _classify as classify,  # the verdict with its support mask, under the name perfbench hooks
+    _picked,
     canonical_context,
-    classify,
-    implication_support,
     holds,
     lattice_equivalent,
     parse_implication,
@@ -233,9 +233,9 @@ def _run(args) -> int:
     if args.command == "classify":
         ctx = _read_context(args.context)
         imp = parse_implication(args.impl)
-        tag = classify(ctx, imp)
-        support = sorted(implication_support(ctx, imp))
-        out.write(f"{imp}: {tag.value} (support: {','.join(support) or 'none'})\n")
+        tag, support = classify(ctx, imp)
+        labels = ",".join(sorted(_picked(ctx.dims[0], support)))
+        out.write(f"{imp}: {tag.value} (support: {labels or 'none'})\n")
         return 0
     if args.command == "minimize":
         out.write(serialize_context(canonical_context(_read_context(args.context))))

@@ -70,10 +70,7 @@ class NContext:
         return tuple(len(d) for d in self.dims)
 
     def cell_count(self) -> int:
-        total = 1
-        for s in self.sizes:
-            total *= s
-        return total
+        return prod(self.sizes)
 
     def index_of(self, dim: int, label: str) -> int:
         """Index of ``label`` in the 0-based dimension ``dim``; errors name it 1-based."""
@@ -186,48 +183,58 @@ def check_n_ordered(cs: "ConceptSet") -> NOrderReport:
     return NOrderReport(ok=not violations, violations=violations)
 
 
-def concept_sort_key(ctx: NContext, c: Concept):
-    """Canonical order: lexicographic on the component bit strings."""
-    return tuple(
-        tuple(1 if x in comp else 0 for x in range(len(ctx.dims[d])))
-        for d, comp in enumerate(c)
-    )
-
-
 @dataclass(frozen=True)
 class ConceptSet:
-    """The concepts of one context, kept in canonical order."""
+    """The concepts of one context as element masks (bit x of masks[i][d] marks
+    element x of dimension d), ordered on the component bit strings, element 0 first."""
 
     ctx: NContext
-    concepts: tuple[Concept, ...]
+    masks: tuple[tuple[int, ...], ...]
 
     @staticmethod
-    def from_iterable(ctx: NContext, concepts: Iterable[Concept]) -> "ConceptSet":
-        unique = set(concepts)
-        ordered = sorted(unique, key=lambda c: concept_sort_key(ctx, c))
-        return ConceptSet(ctx, tuple(ordered))
+    def from_iterable(ctx: NContext, masks: Iterable[tuple[int, ...]]) -> "ConceptSet":
+        unique = list(set(masks))
+        keys = _per_component(unique, [lambda c, j=j: f"{c:0{j}b}"[::-1] for j in ctx.sizes])
+        return ConceptSet(ctx, tuple(m for _, m in sorted(zip(keys, unique))))
+
+    @property
+    def concepts(self) -> tuple[Concept, ...]:
+        """The concepts as tuples of frozensets, built on each call."""
+        return tuple(_per_component(self.masks, [members] * self.ctx.arity))
 
     def __len__(self) -> int:
-        return len(self.concepts)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[Concept]:
         return iter(self.concepts)
 
     def __contains__(self, c) -> bool:
-        return tuple(frozenset(comp) for comp in c) in set(self.concepts)
+        try:
+            return _check_candidate(self.ctx, tuple(c)) in self.masks
+        except (TypeError, ValueError):
+            return False
 
     def features(self) -> frozenset[tuple[frozenset[int], ...]]:
         return features(self.concepts)
 
     def labelled(self) -> list[tuple[tuple[str, ...], ...]]:
         """Concepts with element labels instead of indices, sorted per component."""
-        out = []
-        for c in self.concepts:
-            out.append(tuple(
-                tuple(self.ctx.dims[d][x] for x in sorted(comp))
-                for d, comp in enumerate(c)
-            ))
-        return out
+        return self._rendered(tuple)
+
+    def _rendered(self, render: Callable, dims: Sequence[Sequence[str]] = ()) -> list[tuple]:
+        """Each concept as render(labels of component d) per d; labels from dims or ctx."""
+        return _per_component(self.masks, [
+            lambda c, t=t: render(tuple(label for x, label in enumerate(t) if c >> x & 1))
+            for t in dims or self.ctx.dims
+        ])
+
+
+def _per_component(rows: Iterable[tuple[int, ...]], convert: Sequence[Callable]) -> list[tuple]:
+    """rows with component d mapped by convert[d], called once per distinct component."""
+    return list(zip(*[
+        map({c: f(c) for c in set(col)}.__getitem__, col)
+        for f, col in zip(convert, zip(*rows))
+    ]))
 
 
 def to_dense(ctx: NContext) -> np.ndarray:
@@ -255,15 +262,15 @@ def from_dense(arr: np.ndarray, dims: Sequence[Sequence[str]] | None = None) -> 
 # A relation over sizes (j1, ..., jn) is one int over its cells in row-major
 # order: cell (x1, ..., xn) is bit x1*w1 + ... + xn*wn for the strides w.  A
 # subset of one dimension is an int with bit x set for element x, or bit
-# x*w for a stride w where that is handier (members reads both).
-# relation_mask lays a context out in any dimension order and
-# context_from_mask, its one inverse, reads a mask back into a context.  Row
-# x of a relation is the mask, over the cells of dimensions 2..n, of the
-# cells whose first coordinate is x: the row of object x in the
-# objects-vs-rest flattening.  closed_sets walks the closed row sets of such
-# rows by Close-by-One, in no fixed order, for the enumerator; next_closures
-# walks them by NextClosure in lectic order, which the Duquenne-Guigues base
-# needs.  Rows and masks are built per call; nothing is cached.
+# x*w for a stride w where that is handier.  relation_mask lays a context
+# out in any dimension order and context_from_mask, its one inverse, reads
+# a mask back into a context.  Row x of a relation is the mask, over the
+# cells of dimensions 2..n, of the cells whose first coordinate is x: the
+# row of object x in the objects-vs-rest flattening.  closed_sets walks the
+# closed row sets of such rows by Close-by-One, in no fixed order, for the
+# enumerator; next_closures walks them by NextClosure in lectic order, which
+# the Duquenne-Guigues base needs.  Rows and masks are built per call;
+# nothing is cached.
 
 
 def _strides(sizes: Sequence[int]) -> list[int]:
@@ -301,10 +308,9 @@ def element_masks(sizes: Sequence[int]) -> list[list[int]]:
     return out
 
 
-def members(mask: int, stride: int = 1) -> frozenset[int]:
-    """The elements of a subset mask that marks element x by bit x * stride."""
-    top = -(-mask.bit_length() // stride)
-    return frozenset(x for x in range(top) if mask >> (x * stride) & 1)
+def members(mask: int) -> frozenset[int]:
+    """The elements of a subset mask."""
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
 
 
 def box_columns(elems: list[list[int]], comps: Sequence[int]) -> list[int]:

@@ -19,16 +19,17 @@ from __future__ import annotations
 
 from itertools import product
 from math import prod
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .context import (
     ConceptSet,
     NContext,
     ResourceLimitError,
+    _per_component,
     box_is_concept,
     closed_sets,
     element_masks,
-    members,
     relation_mask,
     split_rows,
 )
@@ -49,12 +50,10 @@ def brute_force_concepts(ctx: NContext, cap: int = BRUTE_FORCE_CAP) -> ConceptSe
         )
     rel = relation_mask(ctx)
     elems = element_masks(ctx.sizes)
-    found = [
-        tuple(members(m) for m in comps)
-        for comps in product(*(range(2 ** j) for j in ctx.sizes))
+    return ConceptSet.from_iterable(ctx, (
+        comps for comps in product(*(range(2 ** j) for j in ctx.sizes))
         if box_is_concept(rel, elems, comps)
-    ]
-    return ConceptSet.from_iterable(ctx, found)
+    ))
 
 
 def _concepts(sizes: Sequence[int], rel: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -93,13 +92,14 @@ def _by_size(ctx: NContext) -> tuple[list[int], Iterator[tuple[int, ...]]]:
 def enumerate_concepts(ctx: NContext) -> ConceptSet:
     """All concepts, found objects first; output order is canonical."""
     order, found = _by_size(ctx)
-    # (input dimension, its place in the layout, its stride there)
-    layout = sorted(
-        (d, k, prod(ctx.sizes[e] for e in order[k + 1:])) for k, d in enumerate(order)
-    )
-    return ConceptSet.from_iterable(ctx, [
-        tuple(members(comps[k], w) for _, k, w in layout) for comps in found
-    ])
+    sizes = [ctx.sizes[d] for d in order]
+    # component k of the layout marks element x by bit x * w, w its stride
+    unstride = [
+        lambda c, j=j, w=prod(sizes[k + 1:]): sum(1 << x for x in range(j) if c >> (x * w) & 1)
+        for k, j in enumerate(sizes)
+    ]
+    back = itemgetter(*(order.index(d) for d in range(ctx.arity)))
+    return ConceptSet.from_iterable(ctx, map(back, _per_component(found, unstride)))
 
 
 def count_concepts(ctx: NContext) -> int:

@@ -93,8 +93,8 @@ def _attr_mask(ctx: NContext, cells: Iterable[Cell]) -> int:
     if len(lookup) < len(labels):
         raise ValueError("dimension 1 has duplicate labels")
     mask = 0
-    for cell in cells:
-        label = _joined_label(tuple(cell))
+    for cell in sorted(tuple(cell) for cell in cells):
+        label = _joined_label(cell)
         if label not in lookup:
             raise ValueError(f"cell {label!r} is not an attribute of this context")
         mask |= 1 << lookup[label]
@@ -118,8 +118,7 @@ def closure2(ctx2: NContext, attrs: Iterable[str]) -> frozenset[str]:
         if a not in lookup:
             raise ValueError(f"unknown attribute {a!r}")
         x |= 1 << lookup[a]
-    closed = _closure_mask(ctx2, x)
-    return frozenset(ctx2.dims[1][i] for i in range(len(ctx2.dims[1])) if closed >> i & 1)
+    return _picked(ctx2.dims[1], _closure_mask(ctx2, x))
 
 
 def holds(ctx: NContext, imp: Implication) -> bool:
@@ -131,8 +130,12 @@ def holds(ctx: NContext, imp: Implication) -> bool:
 
 def implication_support(ctx: NContext, imp: Implication) -> frozenset[str]:
     """Labels of the objects whose row contains the whole premise."""
-    support = extent(object_rows(ctx), _attr_mask(ctx, imp.premise))
-    return frozenset(label for o, label in enumerate(ctx.dims[0]) if support >> o & 1)
+    return _picked(ctx.dims[0], extent(object_rows(ctx), _attr_mask(ctx, imp.premise)))
+
+
+def _picked(items: Iterable, mask: int) -> frozenset:
+    """The items whose place in items is a bit of mask: labels, or cells of a cell mask."""
+    return frozenset(item for i, item in enumerate(items) if mask >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +172,8 @@ def dg_base(ctx2: NContext, cap: int = DG_ATTRIBUTE_CAP) -> list[Implication]:
         if closed != a:
             base.append((a, closed))
 
-    labels = ctx2.dims[1]
-
-    def to_cells(mask: int) -> frozenset[Cell]:
-        return frozenset((labels[i],) for i in range(m) if mask >> i & 1)
-
-    return [
-        Implication(to_cells(p), to_cells(c), scope="dyadic")
-        for p, c in base
-    ]
+    cells = [(label,) for label in ctx2.dims[1]]
+    return [Implication(_picked(cells, p), _picked(cells, c), scope="dyadic") for p, c in base]
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +267,7 @@ def struct_closure(ctx: NContext, cells: Iterable[Sequence[str]]) -> frozenset[C
             i = i * len(dims[d]) + ctx.index_of(d + 1, label)
         x |= 1 << i
     rows = _canonical_rows(ctx.sizes, relation_mask(ctx))
-    closed = closure(rows, x, (1 << prod(ctx.sizes[1:])) - 1)
-    return frozenset(cell for i, cell in enumerate(product(*dims)) if closed >> i & 1)
+    return _picked(product(*dims), closure(rows, x, (1 << prod(ctx.sizes[1:])) - 1))
 
 
 def classify(ctx: NContext, imp: Implication) -> Classification:
@@ -285,6 +280,11 @@ def classify(ctx: NContext, imp: Implication) -> Classification:
     conclusion; anything else the implication says reflects object bundling,
     so it is contextual.
     """
+    return _classify(ctx, imp)[0]
+
+
+def _classify(ctx: NContext, imp: Implication) -> tuple[Classification, int]:
+    """classify's verdict and the mask of the objects of ctx that support the premise."""
     premise = _attr_mask(ctx, imp.premise)
     conclusion = _attr_mask(ctx, imp.conclusion)
     width = prod(ctx.sizes[1:])
@@ -292,13 +292,13 @@ def classify(ctx: NContext, imp: Implication) -> Classification:
     rows = split_rows(rel, ctx.sizes[0], width)
     support = extent(rows, premise)
     if conclusion & ~intent(rows, support, (1 << width) - 1):
-        return Classification.NOT_HOLDING
+        return Classification.NOT_HOLDING, support
     if support:
-        rows = _canonical_rows(ctx.sizes, rel)
-        support = extent(rows, premise)
-        if not support or conclusion & ~intent(rows, support, (1 << width) - 1):
-            return Classification.CONTEXTUAL
-    return Classification.STRUCTURAL
+        canon = _canonical_rows(ctx.sizes, rel)
+        held = extent(canon, premise)
+        if not held or conclusion & ~intent(canon, held, (1 << width) - 1):
+            return Classification.CONTEXTUAL, support
+    return Classification.STRUCTURAL, support
 
 
 def lattice_equivalent(c1: NContext, c2: NContext) -> bool:

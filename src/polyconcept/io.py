@@ -144,13 +144,9 @@ def serialize_context(ctx: NContext, mode: str = "crosses") -> str:
     for d, labels in enumerate(ctx.dims):
         out.append(f"labels {d + 1} " + " ".join(labels))
     out.append(f"mode {mode}")
-    if mode == "crosses":
-        listed = sorted(ctx.relation)
-    else:
-        everything = set(product(*(range(s) for s in ctx.sizes)))
-        listed = sorted(everything - ctx.relation)
-    for t in listed:
-        out.append(" ".join(str(x + 1) for x in t))
+    listed = ctx.relation if mode == "crosses" else (
+        set(product(*map(range, ctx.sizes))) - ctx.relation)
+    out += [" ".join(str(x + 1) for x in t) for t in sorted(listed)]
     return "\n".join(out) + "\n"
 
 
@@ -158,29 +154,32 @@ def serialize_concepts(cs: ConceptSet, fmt: str = "text") -> str:
     """Render a concept set with labels, in canonical order.
 
     text: one "({..},{..},..)" line per concept.  json: a list of objects
-    with a "components" key.  csv: one row per concept, components joined
-    with spaces.
+    with a "components" key, laid out as json.dumps(..., indent=2) would.
+    csv: one row per concept, components joined with spaces.  Each distinct
+    component of a dimension is rendered once.
     """
-    rows = cs.labelled()
     if fmt == "text":
-        lines = []
-        for comps in rows:
-            lines.append("(" + ",".join("{" + ",".join(c) + "}" for c in comps) + ")")
-        return "\n".join(lines) + ("\n" if lines else "")
+        rows = cs._rendered(lambda labels: "{" + ",".join(labels) + "}")
+        return "".join(["(" + ",".join(row) + ")\n" for row in rows])
     if fmt == "json":
-        return json.dumps(
-            [{"components": [list(c) for c in comps]} for comps in rows],
-            ensure_ascii=False,
-            indent=2,
-        ) + "\n"
+        quoted = [[json.dumps(label, ensure_ascii=False) for label in d] for d in cs.ctx.dims]
+        concepts = ",\n".join([
+            '  {\n    "components": [\n      ' + ",\n      ".join(row) + "\n    ]\n  }"
+            for row in cs._rendered(_json_list, quoted)
+        ])
+        return f"[\n{concepts}\n]\n" if concepts else "[]\n"
     if fmt == "csv":
         buf = _io.StringIO()
         writer = csv.writer(buf)
         writer.writerow([f"dim{d + 1}" for d in range(cs.ctx.arity)])
-        for comps in rows:
-            writer.writerow([" ".join(c) for c in comps])
+        writer.writerows(cs._rendered(" ".join))
         return buf.getvalue()
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _json_list(quoted: tuple[str, ...]) -> str:
+    """A component's quoted labels, laid out as indent=2 lays out a list at depth 3."""
+    return "[\n        " + ",\n        ".join(quoted) + "\n      ]" if quoted else "[]"
 
 
 def parse_concepts_json(ctx: NContext, text: str) -> ConceptSet:
@@ -204,10 +203,8 @@ def parse_concepts_json(ctx: NContext, text: str) -> ConceptSet:
                 None, f"concept {i} needs a \"components\" list of {ctx.arity} label lists"
             )
         try:
-            concepts.append(tuple(
-                frozenset(ctx.index_of(d, label) for label in comp)
-                for d, comp in enumerate(comps)
-            ))
+            concepts.append(tuple(sum({1 << ctx.index_of(d, label) for label in comp})
+                                  for d, comp in enumerate(comps)))
         except ValueError as exc:
             raise ParseError(None, f"concept {i}: {exc}") from None
     return ConceptSet.from_iterable(ctx, concepts)
@@ -217,11 +214,6 @@ def context_from_table(dims: Iterable[Iterable[str]],
                        crosses: Iterable[Iterable[str]]) -> NContext:
     """Build a context from labelled cross tuples; a test and demo helper."""
     dim_tuple = tuple(tuple(d) for d in dims)
-    lookup = [
-        {label: i for i, label in enumerate(labels)} for labels in dim_tuple
-    ]
-    relation = set()
-    for cross in crosses:
-        cross = tuple(cross)
-        relation.add(tuple(lookup[d][x] for d, x in enumerate(cross)))
+    lookup = [{label: i for i, label in enumerate(labels)} for labels in dim_tuple]
+    relation = {tuple(lookup[d][x] for d, x in enumerate(cross)) for cross in crosses}
     return NContext(dim_tuple, frozenset(relation))

@@ -161,13 +161,7 @@ class TestNOrdered:
             assert report.ok, report.violations
 
     def test_antiordinal_violation_detected(self, fig1):
-        bad = ConceptSet(
-            fig1,
-            (
-                (frozenset({0}), frozenset({0}), frozenset({0})),
-                (frozenset({0}), frozenset({0}), frozenset({1})),
-            ),
-        )
+        bad = ConceptSet(fig1, ((1, 1, 1), (1, 1, 2)))
         report = check_n_ordered(bad)
         assert not report.ok
         assert any("antiordinal" in v for v in report.violations)

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -345,3 +349,22 @@ class TestParseImplication:
             parse_implication("no arrow here")
         with pytest.raises(ValueError):
             parse_implication("a -> b -> c")
+
+
+class TestUnknownCellError:
+    def test_names_the_least_unknown_cell_under_any_hash_seed(self):
+        # b, c and d are all unknown; the message must not follow hash order
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        code = (
+            "from polyconcept import classify, fixture, parse_implication\n"
+            "try:\n"
+            "    classify(fixture('fig3l'), parse_implication('b,c,d -> a'))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        for seed in range(6):
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed))
+            done = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.stdout == "cell 'b' is not an attribute of this context\n", done.stderr
