@@ -22,8 +22,6 @@ from itertools import islice, permutations
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from .context import NContext, ResourceLimitError, context_from_mask, relation_mask
 from .enumeration import _concepts, brute_force_concepts
 from .generators import contranominal, fixture, _numeric
@@ -109,6 +107,7 @@ def _group(n: int, s: int) -> np.ndarray:
     numbered row-major, as in relation_mask.  At s = 1 every element is the
     identity, and the array holds it once.
     """
+    import numpy as np
     order = _group_order(n, s)
     if s == 1:
         return np.zeros((1, 1), dtype=np.int32)
@@ -134,6 +133,7 @@ def _tables(n: int, s: int) -> np.ndarray:
     The chunk width is the largest in 1..9 whose tables fit in TABLE_BYTES,
     and 1 when none does.
     """
+    import numpy as np
     group = _group(n, s)
     order, cells = group.shape
     words = -(-cells // WORD)
@@ -155,6 +155,7 @@ def _canonical(tables: np.ndarray, masks: Sequence[int]) -> list[int]:
 
     Words are compared most significant first: the least is the numeric one.
     """
+    import numpy as np
     chunks, values, words, _ = tables.shape
     width = values.bit_length() - 1
     keys = np.array([[m >> (c * width) & (values - 1) for c in range(chunks)] for m in masks])

@@ -49,8 +49,17 @@ def _add_input(parser: argparse.ArgumentParser):
                         help="context file, '-' for stdin (default)")
 
 
-def _dim_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) - 1 for p in text.split(",") if p)
+def _dim_list(ctx: NContext, option: str, text: str) -> tuple[int, ...]:
+    """0-based indices of the comma-separated 1-based dimensions in text."""
+    dims = []
+    for entry in filter(None, text.split(",")):
+        try:
+            dims.append(_dim_index(ctx, int(entry)))
+        except ValueError:
+            raise ValueError(
+                f"{option} entry {entry!r} is not a dimension in 1..{ctx.arity}"
+            ) from None
+    return tuple(dims)
 
 
 def _dim_index(ctx: NContext, dim: int) -> int:
@@ -207,8 +216,8 @@ def _run(args) -> int:
         return 0
     if args.command == "flatten":
         ctx = _read_context(args.context)
-        left = _dim_list(args.left)
-        right = _dim_list(args.right) if args.right else tuple(
+        left = _dim_list(ctx, "--left", args.left)
+        right = _dim_list(ctx, "--right", args.right) if args.right else tuple(
             d for d in range(ctx.arity) if d not in left
         )
         out.write(serialize_context(flatten(ctx, Bipartition(left, right))))

@@ -16,8 +16,6 @@ from itertools import product
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 Concept = tuple[frozenset[int], ...]
 Cell = tuple[int, ...]
 
@@ -239,6 +237,7 @@ def _per_component(rows: Iterable[tuple[int, ...]], convert: Sequence[Callable])
 
 def to_dense(ctx: NContext) -> np.ndarray:
     """The relation as a boolean tensor of shape ctx.sizes."""
+    import numpy as np
     arr = np.zeros(ctx.sizes, dtype=bool)
     for t in ctx.relation:
         arr[t] = True
@@ -247,6 +246,7 @@ def to_dense(ctx: NContext) -> np.ndarray:
 
 def from_dense(arr: np.ndarray, dims: Sequence[Sequence[str]] | None = None) -> NContext:
     """Build a context from a boolean tensor; labels default to "1".."j"."""
+    import numpy as np
     arr = np.asarray(arr, dtype=bool)
     if arr.ndim < 2:
         raise ValueError(f"need at least 2 dimensions, got {arr.ndim}")

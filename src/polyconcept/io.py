@@ -4,7 +4,8 @@ Context files are line oriented and diffable:
 
     NCTX 1 <arity>
     sizes j1 ... jn
-    labels <dim> <l1> ... <lj>     (optional, 1-based dim, default "1".."j")
+    labels <dim> <l1> ... <lj>     (optional, 1-based dim, default "1".."j";
+                                   at most one line per dim, labels distinct)
     mode crosses|holes
     i1 i2 ... in                   (one 1-based tuple per line)
 
@@ -89,11 +90,15 @@ def parse_context(text: str) -> NContext:
                 raise ParseError(lineno, "labels needs a 1-based dimension") from None
             if not 1 <= dim <= header:
                 raise ParseError(lineno, f"dimension {dim} out of range")
+            if dim - 1 in labels:
+                raise ParseError(lineno, f"duplicate labels line for dimension {dim}")
             given = tuple(parts[2:])
             if len(given) != sizes[dim - 1]:
                 raise ParseError(
                     lineno, f"dimension {dim} needs {sizes[dim - 1]} labels, got {len(given)}"
                 )
+            if len(set(given)) != len(given):
+                raise ParseError(lineno, f"dimension {dim} has duplicate labels")
             labels[dim - 1] = given
             continue
         if parts[0] == "mode":

@@ -37,6 +37,8 @@ class Bipartition:
         left, right = set(self.left), set(self.right)
         if not left or not right:
             raise ValueError("both sides of a bipartition must be nonempty")
+        if len(left) != len(self.left) or len(right) != len(self.right):
+            raise ValueError("a bipartition side repeats a dimension")
         if left & right:
             raise ValueError(f"bipartition sides overlap: {sorted(left & right)}")
         if left | right != set(range(arity)):

@@ -72,6 +72,20 @@ class TestTransformCommands:
         assert code == 1 and out == ""
         assert err == f"error: dimension {dim} out of range 1..3\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--left", "x"], "--left entry 'x' is not a dimension in 1..3"),
+        (["--left", "2", "--right", "1,y"], "--right entry 'y' is not a dimension in 1..3"),
+        (["--left", "0"], "--left entry '0' is not a dimension in 1..3"),
+        (["--left", "1,1"], "a bipartition side repeats a dimension"),
+        (["--left", "1", "--right", "2,2,3"], "a bipartition side repeats a dimension"),
+    ])
+    def test_flatten_bad_dimension_list(self, capsys, fig1, argv, message):
+        from polyconcept import serialize_context
+
+        code, out, err = run(capsys, ["flatten", *argv], stdin_text=serialize_context(fig1))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_slice_without_keep(self, capsys, fig1):
         from polyconcept import serialize_context
 

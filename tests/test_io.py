@@ -41,6 +41,18 @@ class TestParseContext:
         )
         assert ctx.dims == (("x", "y"), ("1", "2"))
 
+    def test_second_labels_line_for_a_dimension(self):
+        with pytest.raises(ParseError) as err:
+            parse_context("NCTX 1 2\nsizes 2 2\nlabels 1 x y\nlabels 1 u v\nmode crosses\n")
+        assert err.value.lineno == 4
+        assert str(err.value) == "line 4: duplicate labels line for dimension 1"
+
+    def test_repeated_label_within_a_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_context("NCTX 1 2\nsizes 2 2\nlabels 2 x x\nmode crosses\n")
+        assert err.value.lineno == 3
+        assert str(err.value) == "line 3: dimension 2 has duplicate labels"
+
     @pytest.mark.parametrize("text,lineno", [
         ("BAD 1 2\nsizes 2 2\nmode crosses\n", 1),
         ("NCTX 2 2\nsizes 2 2\nmode crosses\n", 1),

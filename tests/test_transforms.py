@@ -25,6 +25,15 @@ class TestBipartition:
         with pytest.raises(ValueError):
             Bipartition((0,), (2,)).validate(3)
 
+    @pytest.mark.parametrize("left, right", [
+        ((0, 0), (1, 2)),
+        ((0,), (1, 1, 2)),
+        ((0, 1, 1), (2,)),
+    ])
+    def test_repeated_dimension_is_refused(self, left, right):
+        with pytest.raises(ValueError, match="repeats a dimension"):
+            Bipartition(left, right).validate(3)
+
 
 class TestFlatten:
     def test_reference_table(self, fig1):
