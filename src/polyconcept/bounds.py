@@ -22,7 +22,7 @@ from itertools import islice, permutations
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .context import NContext, ResourceLimitError, context_from_mask, relation_mask
+from .context import NContext, ResourceLimitError
 from .enumeration import _concepts, brute_force_concepts
 from .generators import contranominal, fixture, _numeric
 from .transforms import direct_sum
@@ -104,7 +104,7 @@ def _group(n: int, s: int) -> np.ndarray:
 
     Element (p, q_0, ..., q_{n-1}) of dimension and element permutations
     moves cell t to the cell whose coordinate d is q_d[t[p[d]]].  Cells are
-    numbered row-major, as in relation_mask.  At s = 1 every element is the
+    numbered row-major, as in NContext.mask.  At s = 1 every element is the
     identity, and the array holds it once.
     """
     import numpy as np
@@ -225,7 +225,7 @@ def exhaustive_max_concepts(
         elif cnt == best:
             witnesses.append(mask)
     unique = sorted({least for _, least in _least_images(tables, witnesses)})
-    contexts = [context_from_mask((_numeric(s),) * n, m) for m in unique]
+    contexts = [NContext((_numeric(s),) * n, m) for m in unique]
     for ctx in contexts:
         recount = len(brute_force_concepts(ctx))
         if recount != best:
@@ -242,7 +242,7 @@ def canonical_relation_mask(ctx: NContext) -> int:
     sizes = set(ctx.sizes)
     if len(sizes) != 1:
         raise ValueError("canonical form is defined for cubic contexts")
-    return _canonical(_tables(ctx.arity, ctx.sizes[0]), [relation_mask(ctx)])[0]
+    return _canonical(_tables(ctx.arity, ctx.sizes[0]), [ctx.mask])[0]
 
 
 @dataclass

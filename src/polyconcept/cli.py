@@ -220,6 +220,8 @@ def _run(args) -> int:
         right = _dim_list(ctx, "--right", args.right) if args.right else tuple(
             d for d in range(ctx.arity) if d not in left
         )
+        if overlap := sorted(set(left) & set(right)):
+            raise ValueError(f"bipartition sides overlap: {[d + 1 for d in overlap]}")
         out.write(serialize_context(flatten(ctx, Bipartition(left, right))))
         return 0
     if args.command == "slice":

@@ -12,12 +12,14 @@ the command line use 1-based indices and element labels instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import compress, product
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 Concept = tuple[frozenset[int], ...]
 Cell = tuple[int, ...]
+
+CELL_CAP = 2 ** 24  # cells of one context; its mask takes cells / 8 bytes
 
 
 class ResourceLimitError(RuntimeError):
@@ -28,13 +30,14 @@ class ResourceLimitError(RuntimeError):
 class NContext:
     """An n-dimensional cross table.
 
-    dims holds one tuple of element labels per dimension; relation is a set
-    of index tuples (0-based).  Instances are immutable and hashable, so
-    they can safely be shared and used as cache keys.
+    dims holds one tuple of element labels per dimension; mask is the
+    relation as a row-major cell mask (see the kernel below), which build
+    makes from 0-based index tuples.  Instances are immutable and hashable,
+    so they can safely be shared and used as cache keys.
     """
 
     dims: tuple[tuple[str, ...], ...]
-    relation: frozenset[Cell]
+    mask: int
 
     def __post_init__(self):
         if len(self.dims) < 2:
@@ -44,20 +47,21 @@ class NContext:
                 raise ValueError(f"dimension {d} is empty")
             if len(set(labels)) != len(labels):
                 raise ValueError(f"dimension {d} has duplicate labels")
-        n = len(self.dims)
-        for t in self.relation:
-            if len(t) != n:
-                raise ValueError(f"tuple {t} has arity {len(t)}, expected {n}")
-            for d, x in enumerate(t):
-                if not 0 <= x < len(self.dims[d]):
-                    raise ValueError(f"tuple {t}: index {x} out of range in dimension {d}")
+        cells = capped_cells(self.sizes)
+        if not 0 <= self.mask < 1 << cells:
+            raise ValueError(f"mask must lie in [0, 2**{cells}), the cells of sizes {self.sizes}")
 
     @staticmethod
     def build(dims: Sequence[Sequence[str]], relation: Iterable[Sequence[int]]) -> "NContext":
-        return NContext(
-            tuple(tuple(labels) for labels in dims),
-            frozenset(tuple(t) for t in relation),
-        )
+        """The context over dims whose crosses are the index tuples of relation."""
+        empty = NContext(tuple(tuple(labels) for labels in dims), 0)
+        cells = [cell_index(empty.sizes, t) for t in relation]
+        return NContext(empty.dims, cell_mask(empty.cell_count(), cells))
+
+    @property
+    def relation(self) -> frozenset[Cell]:
+        """The crosses as index tuples (0-based), built on each call."""
+        return frozenset(mask_cells(self.sizes, self.mask))
 
     @property
     def arity(self) -> int:
@@ -78,18 +82,25 @@ class NContext:
             raise ValueError(f"no element {label!r} in dimension {dim + 1}") from None
 
     def __repr__(self) -> str:
-        return f"NContext(sizes={self.sizes}, crosses={len(self.relation)})"
+        return f"NContext(sizes={self.sizes}, crosses={self.mask.bit_count()})"
 
 
 def contains(ctx: NContext, t: Sequence[int]) -> bool:
     """Whether the index tuple t carries a cross."""
+    return bool(ctx.mask >> cell_index(ctx.sizes, t) & 1)
+
+
+def cell_index(sizes: Sequence[int], t: Sequence[int]) -> int:
+    """The bit of the index tuple t in a row-major mask over sizes; t is checked."""
     t = tuple(t)
-    if len(t) != ctx.arity:
-        raise ValueError(f"tuple arity {len(t)} does not match context arity {ctx.arity}")
-    for d, x in enumerate(t):
-        if not 0 <= x < len(ctx.dims[d]):
-            raise ValueError(f"index {x} out of range in dimension {d}")
-    return t in ctx.relation
+    if len(t) != len(sizes):
+        raise ValueError(f"tuple {t} has arity {len(t)}, expected {len(sizes)}")
+    i = 0
+    for d, (x, j) in enumerate(zip(t, sizes)):
+        if not 0 <= x < j:
+            raise ValueError(f"tuple {t}: index {x} out of range in dimension {d}")
+        i = i * j + x
+    return i
 
 
 def _check_candidate(ctx: NContext, c: Sequence[Iterable[int]]) -> tuple[int, ...]:
@@ -111,7 +122,7 @@ def box_full(ctx: NContext, c: Sequence[Iterable[int]]) -> bool:
     """
     comps = _check_candidate(ctx, c)
     cols = box_columns(element_masks(ctx.sizes), comps)
-    return not _meet(cols) & ~relation_mask(ctx)
+    return not _meet(cols) & ~ctx.mask
 
 
 def is_concept(ctx: NContext, c: Sequence[Iterable[int]]) -> bool:
@@ -121,14 +132,14 @@ def is_concept(ctx: NContext, c: Sequence[Iterable[int]]) -> bool:
     element to one component, keeping the others fixed, must break fullness.
     """
     comps = _check_candidate(ctx, c)
-    return box_is_concept(relation_mask(ctx), element_masks(ctx.sizes), comps)
+    return box_is_concept(ctx.mask, element_masks(ctx.sizes), comps)
 
 
 def description(ctx: NContext, obj: int) -> frozenset[Cell]:
     """All (n-1)-tuples over dimensions 1..n-1 crossed with the given object."""
     if not 0 <= obj < len(ctx.dims[0]):
         raise ValueError(f"object index {obj} out of range")
-    return frozenset(t[1:] for t in ctx.relation if t[0] == obj)
+    return frozenset(mask_cells(ctx.sizes[1:], object_rows(ctx)[obj]))
 
 
 def quasi_leq(i: int, a: Concept, b: Concept) -> bool:
@@ -238,10 +249,8 @@ def _per_component(rows: Iterable[tuple[int, ...]], convert: Sequence[Callable])
 def to_dense(ctx: NContext) -> np.ndarray:
     """The relation as a boolean tensor of shape ctx.sizes."""
     import numpy as np
-    arr = np.zeros(ctx.sizes, dtype=bool)
-    for t in ctx.relation:
-        arr[t] = True
-    return arr
+    bits = f"{ctx.mask:0{ctx.cell_count()}b}".encode()[::-1]
+    return (np.frombuffer(bits, np.uint8) == ord("1")).reshape(ctx.sizes)
 
 
 def from_dense(arr: np.ndarray, dims: Sequence[Sequence[str]] | None = None) -> NContext:
@@ -252,8 +261,7 @@ def from_dense(arr: np.ndarray, dims: Sequence[Sequence[str]] | None = None) -> 
         raise ValueError(f"need at least 2 dimensions, got {arr.ndim}")
     if dims is None:
         dims = [tuple(str(i + 1) for i in range(s)) for s in arr.shape]
-    relation = frozenset(tuple(int(x) for x in t) for t in zip(*np.nonzero(arr)))
-    return NContext.build(dims, relation)
+    return NContext.build(dims, zip(*np.nonzero(arr)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,40 +270,60 @@ def from_dense(arr: np.ndarray, dims: Sequence[Sequence[str]] | None = None) -> 
 # A relation over sizes (j1, ..., jn) is one int over its cells in row-major
 # order: cell (x1, ..., xn) is bit x1*w1 + ... + xn*wn for the strides w.  A
 # subset of one dimension is an int with bit x set for element x, or bit
-# x*w for a stride w where that is handier.  relation_mask lays a context
-# out in any dimension order and context_from_mask, its one inverse, reads
-# a mask back into a context.  Row x of a relation is the mask, over the
-# cells of dimensions 2..n, of the cells whose first coordinate is x: the
-# row of object x in the objects-vs-rest flattening.  closed_sets walks the
-# closed row sets of such rows by Close-by-One, in no fixed order, for the
-# enumerator; next_closures walks them by NextClosure in lectic order, which
-# the Duquenne-Guigues base needs.  Rows and masks are built per call;
-# nothing is cached.
+# x*w for a stride w where that is handier.  An NContext stores its mask;
+# relation_mask lays it out in any other dimension order.  Context masks
+# are built from cell indices or bit strings, never one bit at a time into
+# a growing int, which is quadratic in the cells.  Row x of a relation is
+# the mask, over the cells of dimensions 2..n, of the cells whose first
+# coordinate is x: the row of object x in the objects-vs-rest flattening.
+# closed_sets walks the closed row sets of such rows by Close-by-One, in no
+# fixed order, for the enumerator; next_closures walks them by NextClosure
+# in lectic order, which the Duquenne-Guigues base needs.  Rows and layouts
+# are built per call; nothing is cached.
 
 
 def _strides(sizes: Sequence[int]) -> list[int]:
     return [prod(sizes[d + 1:]) for d in range(len(sizes))]
 
 
+def capped_cells(sizes: Sequence[int]) -> int:
+    """The number of cells over sizes, refused above CELL_CAP."""
+    cells = prod(sizes)
+    if cells > CELL_CAP:
+        raise ResourceLimitError(f"{cells} cells exceed the cap of {CELL_CAP}")
+    return cells
+
+
+def cell_mask(cells: int, indices: Iterable[int]) -> int:
+    """The mask over cells bits whose set bits are indices."""
+    bits = bytearray(b"0") * cells
+    for i in indices:
+        bits[i] = ord("1")
+    return int(bits[::-1], 2)
+
+
+def mask_cells(sizes: Sequence[int], mask: int) -> Iterator[Cell]:
+    """The cells of a row-major mask over sizes as index tuples, in ascending order."""
+    return compress(product(*map(range, sizes)), map("1".__eq__, bin(mask)[:1:-1]))
+
+
 def relation_mask(ctx: NContext, order: Sequence[int] | None = None) -> int:
     """The relation of ctx as a row-major cell mask.
 
-    With order, dimension order[k] of ctx is laid out as dimension k.
+    With order, dimension order[k] of ctx is laid out as dimension k; each
+    run along the last one is copied as one extended slice of the cell bits.
     """
-    order = range(ctx.arity) if order is None else order
-    strides = [0] * ctx.arity
-    for d, w in zip(order, _strides([ctx.sizes[d] for d in order])):
-        strides[d] = w
-    rel = 0
-    for t in ctx.relation:
-        rel |= 1 << sum(x * w for x, w in zip(t, strides))
-    return rel
-
-
-def context_from_mask(dims: Sequence[Sequence[str]], rel: int) -> NContext:
-    """The context over dims whose row-major cell mask is rel: relation_mask's inverse."""
-    cells = product(*(range(len(labels)) for labels in dims))
-    return NContext.build(dims, (t for t, bit in zip(cells, reversed(bin(rel))) if bit == "1"))
+    if order is None or list(order) == list(range(ctx.arity)):
+        return ctx.mask
+    *lead, last = order
+    strides = _strides(ctx.sizes)
+    step, stop = strides[last], strides[last] * ctx.sizes[last]
+    bits = f"{ctx.mask:0{ctx.cell_count()}b}".encode()[::-1]
+    out = bytearray()
+    for xs in product(*(range(ctx.sizes[d]) for d in lead)):
+        start = sum(x * strides[d] for x, d in zip(xs, lead))
+        out += bits[start:start + stop:step]
+    return int(out[::-1], 2)
 
 
 def element_masks(sizes: Sequence[int]) -> list[list[int]]:
@@ -357,7 +385,7 @@ def split_rows(rel: int, count: int, width: int) -> list[int]:
 
 def object_rows(ctx: NContext) -> list[int]:
     """The rows of ctx, one per object."""
-    return split_rows(relation_mask(ctx), ctx.sizes[0], ctx.cell_count() // ctx.sizes[0])
+    return split_rows(ctx.mask, ctx.sizes[0], ctx.cell_count() // ctx.sizes[0])
 
 
 def extent(rows: Sequence[int], y: int) -> int:

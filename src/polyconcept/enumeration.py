@@ -48,11 +48,10 @@ def brute_force_concepts(ctx: NContext, cap: int = BRUTE_FORCE_CAP) -> ConceptSe
         raise ResourceLimitError(
             f"brute force needs {candidates} candidates, above the cap of {cap}"
         )
-    rel = relation_mask(ctx)
     elems = element_masks(ctx.sizes)
     return ConceptSet.from_iterable(ctx, (
         comps for comps in product(*(range(2 ** j) for j in ctx.sizes))
-        if box_is_concept(rel, elems, comps)
+        if box_is_concept(ctx.mask, elems, comps)
     ))
 
 

@@ -15,7 +15,7 @@ from importlib import resources
 from itertools import product
 from typing import Sequence
 
-from .context import NContext
+from .context import NContext, capped_cells, cell_mask, element_masks
 from .io import parse_context
 
 GREEK = (
@@ -82,12 +82,10 @@ def contranominal(n: int, s: int) -> NContext:
         raise ValueError(f"arity must be >= 2, got {n}")
     if s < 1:
         raise ValueError(f"side must be >= 1, got {s}")
-    labels = _numeric(s)
-    relation = frozenset(
-        t for t in product(range(s), repeat=n)
-        if any(x != t[0] for x in t)
-    )
-    return NContext((labels,) * n, relation)
+    cells = capped_cells((s,) * n)
+    # the diagonal cell (x, ..., x) is bit x * (s**(n-1) + ... + s + 1)
+    diagonal = sum(1 << x * sum(s ** k for k in range(n)) for x in range(s))
+    return NContext((_numeric(s),) * n, (1 << cells) - 1 ^ diagonal)
 
 
 def b_class(j: Sequence[int]) -> NContext:
@@ -104,20 +102,13 @@ def b_class(j: Sequence[int]) -> NContext:
     if any(x < 1 for x in j):
         raise ValueError("all sizes must be >= 1")
     n = len(j) + 1
-    obj_count = sum(j)
-    dims = [_object_labels(obj_count)]
+    cells = capped_cells((sum(j),) + j)
+    dims = [_object_labels(sum(j))]
     for k in range(1, n):
         dims.append(_feature_dim_labels(k, j[k - 1]))
-    relation = set()
-    obj = 0
-    for d in range(n - 1, 0, -1):
-        for removed in range(j[d - 1] - 1, -1, -1):
-            for cell in product(*(range(size) for size in j)):
-                if cell[d - 1] == removed:
-                    continue
-                relation.add((obj,) + cell)
-            obj += 1
-    return NContext(tuple(dims), frozenset(relation))
+    planes = [plane for per_dim in reversed(element_masks(j)) for plane in reversed(per_dim)]
+    holes = sum(plane << (o * cells // sum(j)) for o, plane in enumerate(planes))
+    return NContext(tuple(dims), (1 << cells) - 1 ^ holes)
 
 
 def rook_context(n: int, s: int, c: int = 0) -> NContext:
@@ -131,13 +122,10 @@ def rook_context(n: int, s: int, c: int = 0) -> NContext:
         raise ValueError(f"arity must be >= 2, got {n}")
     if s < 2:
         raise ValueError(f"side must be >= 2, got {s}")
-    labels = _numeric(s)
-    relation = set()
-    for t in product(range(s), repeat=n):
-        rest = sum(t[d] for d in range(n) if d != 1)
-        if t[1] != (rest + c) % s:
-            relation.add(t)
-    return NContext((labels,) * n, frozenset(relation))
+    return NContext((_numeric(s),) * n, cell_mask(capped_cells((s,) * n), (
+        i for i, t in enumerate(product(range(s), repeat=n))
+        if t[1] != (sum(t) - t[1] + c) % s
+    )))
 
 
 def random_context(shape: Shape | Sequence[int], density: float, seed: int) -> NContext:
@@ -146,12 +134,9 @@ def random_context(shape: Shape | Sequence[int], density: float, seed: int) -> N
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     rng = _random.Random(seed)
-    relation = set()
-    for t in product(*(range(s) for s in sizes)):
-        if rng.random() < density:
-            relation.add(t)
-    dims = tuple(_numeric(s) for s in sizes)
-    return NContext(dims, frozenset(relation))
+    cells = capped_cells(sizes)
+    mask = cell_mask(cells, (i for i in range(cells) if rng.random() < density))
+    return NContext(tuple(_numeric(s) for s in sizes), mask)
 
 
 def fixture(name: str) -> NContext:

@@ -35,14 +35,12 @@ from typing import Iterable, Sequence
 from .context import (
     NContext,
     ResourceLimitError,
+    cell_index,
     closure,
-    context_from_mask,
     extent,
     intent,
     next_closures,
     object_rows,
-    relation_mask,
-    split_rows,
 )
 from .enumeration import _concepts
 from .transforms import _joined_label
@@ -244,9 +242,9 @@ def canonical_context(ctx: NContext) -> NContext:
     that none of its members contains, which may erode maximality.  No
     general preservation proof is known for this construction.
     """
-    rows = _canonical_rows(ctx.sizes, relation_mask(ctx))
+    rows = _canonical_rows(ctx.sizes, ctx.mask)
     rel = sum(row << (o * prod(ctx.sizes[1:])) for o, row in enumerate(rows))
-    return context_from_mask((tuple(f"o{o + 1}" for o in range(len(rows))),) + ctx.dims[1:], rel)
+    return NContext((tuple(f"o{o + 1}" for o in range(len(rows))),) + ctx.dims[1:], rel)
 
 
 def struct_closure(ctx: NContext, cells: Iterable[Sequence[str]]) -> frozenset[Cell]:
@@ -262,11 +260,9 @@ def struct_closure(ctx: NContext, cells: Iterable[Sequence[str]]) -> frozenset[C
         cell = tuple(cell)
         if len(cell) != len(dims):
             raise ValueError(f"cell {cell} has arity {len(cell)}, expected {len(dims)}")
-        i = 0
-        for d, label in enumerate(cell):
-            i = i * len(dims[d]) + ctx.index_of(d + 1, label)
-        x |= 1 << i
-    rows = _canonical_rows(ctx.sizes, relation_mask(ctx))
+        indices = [ctx.index_of(d + 1, label) for d, label in enumerate(cell)]
+        x |= 1 << cell_index(ctx.sizes[1:], indices)
+    rows = _canonical_rows(ctx.sizes, ctx.mask)
     return _picked(product(*dims), closure(rows, x, (1 << prod(ctx.sizes[1:])) - 1))
 
 
@@ -288,13 +284,12 @@ def _classify(ctx: NContext, imp: Implication) -> tuple[Classification, int]:
     premise = _attr_mask(ctx, imp.premise)
     conclusion = _attr_mask(ctx, imp.conclusion)
     width = prod(ctx.sizes[1:])
-    rel = relation_mask(ctx)
-    rows = split_rows(rel, ctx.sizes[0], width)
+    rows = object_rows(ctx)
     support = extent(rows, premise)
     if conclusion & ~intent(rows, support, (1 << width) - 1):
         return Classification.NOT_HOLDING, support
     if support:
-        canon = _canonical_rows(ctx.sizes, rel)
+        canon = _canonical_rows(ctx.sizes, ctx.mask)
         held = extent(canon, premise)
         if not held or conclusion & ~intent(canon, held, (1 << width) - 1):
             return Classification.CONTEXTUAL, support
@@ -308,8 +303,8 @@ def lattice_equivalent(c1: NContext, c2: NContext) -> bool:
     """
     if c1.dims[1:] != c2.dims[1:]:
         raise ValueError("contexts differ on dimensions 2..n")
-    f1 = _features(c1.sizes, relation_mask(c1))
-    f2 = _features(c2.sizes, relation_mask(c2))
+    f1 = _features(c1.sizes, c1.mask)
+    f2 = _features(c2.sizes, c2.mask)
     return f1.keys() == f2.keys()
 
 

@@ -12,7 +12,7 @@ Context files are line oriented and diffable:
 '#' at the start of a line or after whitespace begins a comment (labels may
 therefore contain '#', as the direct-sum relabelling does); blank lines are
 ignored.  In holes mode the listed tuples are the empty cells and the
-relation is their complement.
+relation is their complement.  Sizes over CELL_CAP cells are refused.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ import csv
 import io as _io
 import json
 import re
-from itertools import product
 from typing import Iterable
 
-from .context import ConceptSet, NContext
+from .context import ConceptSet, NContext, ResourceLimitError, capped_cells, cell_mask, mask_cells
 
 FORMAT_VERSION = 1
 
@@ -50,7 +49,7 @@ def parse_context(text: str) -> NContext:
     sizes = None
     labels: dict[int, tuple[str, ...]] = {}
     mode = None
-    tuples: list[tuple[int, ...]] = []
+    listed: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -80,6 +79,10 @@ def parse_context(text: str) -> NContext:
                 raise ParseError(lineno, f"expected {header} sizes, got {len(sizes)}")
             if any(s < 1 for s in sizes):
                 raise ParseError(lineno, "all sizes must be >= 1")
+            try:
+                total = capped_cells(sizes)
+            except ResourceLimitError as exc:
+                raise ResourceLimitError(f"line {lineno}: {exc}") from None
             continue
         if parts[0] == "labels":
             if sizes is None:
@@ -116,10 +119,12 @@ def parse_context(text: str) -> NContext:
             raise ParseError(lineno, f"malformed tuple line: {line!r}") from None
         if len(t) != header:
             raise ParseError(lineno, f"tuple has arity {len(t)}, expected {header}")
+        i = 0
         for d, x in enumerate(t):
             if not 1 <= x <= sizes[d]:
                 raise ParseError(lineno, f"index {x} out of range in dimension {d + 1}")
-        tuples.append(tuple(x - 1 for x in t))
+            i = i * sizes[d] + x - 1
+        listed.append(i)
 
     if header is None:
         raise ParseError(1, "empty input, expected NCTX header")
@@ -131,13 +136,8 @@ def parse_context(text: str) -> NContext:
         labels.get(d, tuple(str(i + 1) for i in range(sizes[d])))
         for d in range(header)
     )
-    listed = frozenset(tuples)
-    if mode == "crosses":
-        relation = listed
-    else:
-        everything = frozenset(product(*(range(s) for s in sizes)))
-        relation = everything - listed
-    return NContext(dims, relation)
+    mask = cell_mask(total, listed)
+    return NContext(dims, mask if mode == "crosses" else mask ^ (1 << total) - 1)
 
 
 def serialize_context(ctx: NContext, mode: str = "crosses") -> str:
@@ -149,9 +149,8 @@ def serialize_context(ctx: NContext, mode: str = "crosses") -> str:
     for d, labels in enumerate(ctx.dims):
         out.append(f"labels {d + 1} " + " ".join(labels))
     out.append(f"mode {mode}")
-    listed = ctx.relation if mode == "crosses" else (
-        set(product(*map(range, ctx.sizes))) - ctx.relation)
-    out += [" ".join(str(x + 1) for x in t) for t in sorted(listed)]
+    listed = ctx.mask if mode == "crosses" else ctx.mask ^ (1 << ctx.cell_count()) - 1
+    out += [" ".join(str(x + 1) for x in t) for t in mask_cells(ctx.sizes, listed)]
     return "\n".join(out) + "\n"
 
 
@@ -220,5 +219,5 @@ def context_from_table(dims: Iterable[Iterable[str]],
     """Build a context from labelled cross tuples; a test and demo helper."""
     dim_tuple = tuple(tuple(d) for d in dims)
     lookup = [{label: i for i, label in enumerate(labels)} for labels in dim_tuple]
-    relation = {tuple(lookup[d][x] for d, x in enumerate(cross)) for cross in crosses}
-    return NContext(dim_tuple, frozenset(relation))
+    relation = [tuple(lookup[d][x] for d, x in enumerate(cross)) for cross in crosses]
+    return NContext.build(dim_tuple, relation)

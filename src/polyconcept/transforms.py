@@ -7,9 +7,9 @@ direct_sum combines two contexts so that concept counts multiply.
 
 flatten and slice_dim run on the integer-mask kernel of context.py.  A
 flattening is the relation mask laid out with the left dimensions first,
-read back by context_from_mask under joined labels.  A slice is a
-derivation: in the dyadic context of dimension d against the rest, the
-sliced relation is the intent of the kept elements.
+under joined labels.  A slice is a derivation: in the dyadic context of
+dimension d against the rest, the sliced relation is the intent of the
+kept elements.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import product
 from math import prod
 from typing import Iterable, Sequence
 
-from .context import NContext, context_from_mask, intent, relation_mask, split_rows
+from .context import NContext, intent, mask_cells, relation_mask, split_rows
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,11 @@ def flatten(ctx: NContext, p: Bipartition) -> NContext:
     object-by-cell-pair table.
     """
     p.validate(ctx.arity)
-    labels = [
+    labels = tuple(
         tuple(_joined_label(cell) for cell in product(*(ctx.dims[d] for d in side)))
         for side in (p.left, p.right)
-    ]
-    return context_from_mask(labels, relation_mask(ctx, p.left + p.right))
+    )
+    return NContext(labels, relation_mask(ctx, p.left + p.right))
 
 
 def objects_vs_rest(ctx: NContext) -> NContext:
@@ -91,7 +91,7 @@ def slice_dim(ctx: NContext, d: int, keep: Iterable[int]) -> NContext:
     width = prod(ctx.sizes[e] for e in rest)
     rows = split_rows(relation_mask(ctx, (d,) + rest), ctx.sizes[d], width)
     rel = intent(rows, sum(1 << x for x in keep), (1 << width) - 1)
-    return context_from_mask(ctx.dims[:d] + ctx.dims[d + 1:], rel)
+    return NContext(ctx.dims[:d] + ctx.dims[d + 1:], rel)
 
 
 def _disjoint_labels(a: Sequence[str], b: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -115,13 +115,10 @@ def direct_sum(c1: NContext, c2: NContext) -> NContext:
     for d in range(n):
         a, b = _disjoint_labels(c1.dims[d], c2.dims[d])
         dims.append(a + b)
-    offs = tuple(len(c1.dims[d]) for d in range(n))
-    relation = set(c1.relation)
-    for t in c2.relation:
-        relation.add(tuple(x + offs[d] for d, x in enumerate(t)))
-    for t in product(*(range(len(dim)) for dim in dims)):
-        in_first = [t[d] < offs[d] for d in range(n)]
-        if all(in_first) or not any(in_first):
-            continue
-        relation.add(t)
-    return NContext(tuple(dims), frozenset(relation))
+    # every cell is crossed but the holes of each summand, moved to its corner
+    holes = NContext.build(dims, (
+        [x + off for x, off in zip(t, offs)]
+        for c, offs in ((c1, (0,) * n), (c2, c1.sizes))
+        for t in mask_cells(c.sizes, c.mask ^ (1 << c.cell_count()) - 1)
+    ))
+    return NContext(holes.dims, holes.mask ^ (1 << holes.cell_count()) - 1)

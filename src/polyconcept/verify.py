@@ -18,7 +18,7 @@ from .bounds import (
     naive_bounds,
     canonical_relation_mask,
 )
-from .context import is_concept
+from .context import is_concept, object_rows
 from .enumeration import count_concepts, enumerate_concepts
 from .generators import b_class, contranominal, fixture, rook_context
 from .implications import (
@@ -132,14 +132,7 @@ def check_canonical_context() -> str:
     left, right = fixture("fig5l"), fixture("fig5r")
     built = canonical_context(left)
     assert built.dims[1:] == right.dims[1:]
-    def desc_multiset(ctx):
-        per = {}
-        for t in ctx.relation:
-            per.setdefault(t[0], set()).add(t[1:])
-        rows = [frozenset(v) for v in per.values()]
-        rows += [frozenset()] * (len(ctx.dims[0]) - len(rows))
-        return sorted(rows, key=sorted)
-    assert desc_multiset(built) == desc_multiset(right), "object rows differ"
+    assert sorted(object_rows(built)) == sorted(object_rows(right)), "object rows differ"
     assert lattice_equivalent(left, built), "features not preserved"
     assert lattice_equivalent(left, right), "reference pair disagrees"
     return "canonical form matches the reference table up to object names"

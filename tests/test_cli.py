@@ -45,6 +45,11 @@ class TestGenerateAndCount:
                                     "--density", "0.5", "--seed", "9"])
         assert one == two
 
+    def test_count_one_hole_in_a_million_cells(self, capsys):
+        text = "NCTX 1 2\nsizes 1000 1000\nmode holes\n17 923\n"
+        code, out, _ = run(capsys, ["count"], stdin_text=text)
+        assert code == 0 and out == "2\n"
+
 
 class TestTransformCommands:
     def test_flatten(self, capsys, fig1):
@@ -78,6 +83,8 @@ class TestTransformCommands:
         (["--left", "0"], "--left entry '0' is not a dimension in 1..3"),
         (["--left", "1,1"], "a bipartition side repeats a dimension"),
         (["--left", "1", "--right", "2,2,3"], "a bipartition side repeats a dimension"),
+        (["--left", "1", "--right", "1,2,3"], "bipartition sides overlap: [1]"),
+        (["--left", "2,3", "--right", "1,2,3"], "bipartition sides overlap: [2, 3]"),
     ])
     def test_flatten_bad_dimension_list(self, capsys, fig1, argv, message):
         from polyconcept import serialize_context
@@ -355,6 +362,17 @@ class TestExitCodes:
                            stdin_text="NCTX 1 2\nsizes 2 2\nmode crosses\n9 9\n")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("argv, stdin_text, message", [
+        (["count"], "NCTX 1 2\nsizes 99999999 99999999\nmode crosses\n",
+         "line 2: 9999999800000001 cells exceed the cap of 16777216"),
+        (["gen", "random", "--sizes", "99999", "99999", "--density", ".5", "--seed", "1"],
+         None, "9999800001 cells exceed the cap of 16777216"),
+    ])
+    def test_too_many_cells_is_one_line(self, capsys, argv, stdin_text, message):
+        code, out, err = run(capsys, argv, stdin_text=stdin_text)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_missing_file_is_1(self, capsys):
         code, _, err = run(capsys, ["count", "/nonexistent/path.nctx"])

@@ -16,11 +16,14 @@ from polyconcept.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 FIG1 = str(Path(polyconcept.__file__).parent / "fixtures" / "fig1.nctx")
+FIG4 = str(Path(polyconcept.__file__).parent / "fixtures" / "fig4.nctx")
 
 NUMPY_FREE = [
     ["count", FIG1],
+    ["count", FIG4],
     ["enum", FIG1, "--format", "json"],
     ["flatten", FIG1, "--left", "1"],
+    ["flatten", FIG1, "--left", "2"],
     ["slice", FIG1, "--dim", "3", "--keep", "a"],
     ["classify", FIG1, "--impl", "(1,a) -> (2,a)"],
     ["gen", "fixture", "fig1"],

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from polyconcept import (
     ConceptSet,
     NContext,
+    ResourceLimitError,
     box_full,
     check_n_ordered,
     contains,
@@ -20,7 +22,7 @@ from polyconcept import (
     random_context,
     to_dense,
 )
-from polyconcept.context import closed_sets, extent, intent, next_closures
+from polyconcept.context import CELL_CAP, closed_sets, extent, intent, next_closures
 
 
 def idx(ctx, dim, label):
@@ -47,8 +49,21 @@ class TestNContext:
         with pytest.raises(ValueError):
             fig1.index_of(0, "zzz")
 
+    def test_mask_outside_the_cells_is_refused(self):
+        dims = (("a", "b"), ("x", "y", "z"))
+        assert NContext(dims, (1 << 6) - 1).relation == frozenset(product(range(2), range(3)))
+        for mask in (-1, 1 << 6, 1 << 40):
+            with pytest.raises(ValueError, match="mask must lie in"):
+                NContext(dims, mask)
+
+    def test_too_many_cells_is_refused(self):
+        labels = tuple(str(i) for i in range(4097))
+        with pytest.raises(ResourceLimitError, match="16785409 cells exceed the cap of 16777216"):
+            NContext((labels, labels), 0)
+        assert NContext((labels[:4096], labels[:4096]), 0).cell_count() == CELL_CAP
+
     def test_immutability_and_hash(self, fig1):
-        assert hash(fig1) == hash(NContext(fig1.dims, fig1.relation))
+        assert hash(fig1) == hash(NContext.build(fig1.dims, fig1.relation))
 
     def test_dense_round_trip(self, fig1):
         arr = to_dense(fig1)

@@ -90,6 +90,6 @@ class TestAgainstIsomorphismOracle:
         )
         from polyconcept import NContext
 
-        swapped = NContext(base.dims, swapped_relation)
+        swapped = NContext.build(base.dims, swapped_relation)
         assert quasi_order_isomorphic(base, swapped)
         assert not lattice_equivalent(base, swapped)

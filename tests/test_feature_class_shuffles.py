@@ -52,7 +52,7 @@ def reshuffled_contexts(ctx, seed, count):
                 for cell in classes[k]:
                     relation.add((o,) + cell)
         labels = tuple(f"g{o + 1}" for o in range(n_objects))
-        candidate = NContext((labels,) + ctx.dims[1:], frozenset(relation))
+        candidate = NContext.build((labels,) + ctx.dims[1:], relation)
         if lattice_equivalent(ctx, candidate):
             built.append(candidate)
     return built

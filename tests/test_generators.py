@@ -4,6 +4,7 @@ import pytest
 
 from polyconcept import (
     FIXTURE_NAMES,
+    ResourceLimitError,
     Shape,
     b_class,
     contranominal,
@@ -144,6 +145,17 @@ class TestRandomContext:
     def test_validation(self):
         with pytest.raises(ValueError):
             random_context((2, 2), 1.5, seed=0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: contranominal(2, 4097),
+    lambda: b_class((2049, 4096)),
+    lambda: rook_context(2, 4097),
+    lambda: random_context((4097, 4097), 0.5, 1),
+], ids=["contranominal", "b_class", "rook", "random"])
+def test_families_refuse_too_many_cells(build):
+    with pytest.raises(ResourceLimitError, match="cells exceed the cap of 16777216"):
+        build()
 
 
 class TestFixtures:

@@ -319,7 +319,7 @@ class TestLatticeEquivalent:
             elif kind == 1:
                 order = list(range(c1.sizes[0]))
                 rng.shuffle(order)
-                c2 = NContext(c1.dims, frozenset((order[t[0]],) + t[1:] for t in c1.relation))
+                c2 = NContext.build(c1.dims, ((order[t[0]],) + t[1:] for t in c1.relation))
             else:
                 c2 = random_context((rng.randint(1, 5),) + rest, rng.random(), seed=1000 + trial)
             same = enumerate_concepts(c1).features() == enumerate_concepts(c2).features()

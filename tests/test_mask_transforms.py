@@ -1,12 +1,12 @@
 """flatten and slice_dim on the mask kernel, against their per-tuple definitions."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
-from polyconcept import Bipartition, NContext, flatten, slice_dim
-from polyconcept.context import context_from_mask, relation_mask
+from polyconcept import Bipartition, NContext, flatten, parse_context, serialize_context, slice_dim
+from polyconcept.context import relation_mask
 
 
 def oracle_flatten(ctx, p):
@@ -26,7 +26,7 @@ def oracle_flatten(ctx, p):
     }
     dims = (tuple(label(c, p.left) for c in left_elems),
             tuple(label(c, p.right) for c in right_elems))
-    return NContext(dims, frozenset(relation))
+    return NContext.build(dims, relation)
 
 
 def oracle_slice(ctx, d, keep):
@@ -36,7 +36,7 @@ def oracle_slice(ctx, d, keep):
         t for t in product(*(range(len(labels)) for labels in dims))
         if all(t[:d] + (x,) + t[d:] in ctx.relation for x in keep)
     }
-    return NContext(dims, frozenset(relation))
+    return NContext.build(dims, relation)
 
 
 def seeded_contexts(count, seed):
@@ -88,7 +88,7 @@ def test_slice_matches_the_tuple_definition():
 
 def test_mask_round_trip():
     for _, ctx in CONTEXTS:
-        assert context_from_mask(ctx.dims, relation_mask(ctx)) == ctx
+        assert NContext(ctx.dims, relation_mask(ctx)) == ctx
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -100,4 +100,33 @@ def test_mask_round_trip_in_a_permuted_order(seed):
             [ctx.dims[d] for d in order],
             [tuple(t[d] for d in order) for t in ctx.relation],
         )
-        assert context_from_mask(permuted.dims, relation_mask(ctx, order)) == permuted
+        assert NContext(permuted.dims, relation_mask(ctx, order)) == permuted
+
+
+def test_build_round_trip():
+    for _, ctx in CONTEXTS:
+        assert NContext.build(ctx.dims, ctx.relation) == ctx
+
+
+def test_relation_is_the_set_bits_in_ascending_order():
+    for _, ctx in CONTEXTS:
+        cells = product(*(range(j) for j in ctx.sizes))
+        assert sorted(ctx.relation) == [t for i, t in enumerate(cells) if ctx.mask >> i & 1]
+
+
+def test_holes_mode_parses_to_the_complement():
+    for _, ctx in CONTEXTS:
+        text = serialize_context(ctx)
+        holes = parse_context(text.replace("mode crosses", "mode holes"))
+        cells = frozenset(product(*(range(j) for j in ctx.sizes)))
+        assert holes.dims == ctx.dims and holes.relation == cells - parse_context(text).relation
+
+
+def test_mask_layout_in_every_order():
+    for _, ctx in CONTEXTS:
+        for order in permutations(range(ctx.arity)):
+            permuted = NContext.build(
+                [ctx.dims[d] for d in order],
+                [tuple(t[d] for d in order) for t in ctx.relation],
+            )
+            assert relation_mask(ctx, order) == permuted.mask
