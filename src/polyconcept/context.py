@@ -139,7 +139,8 @@ def description(ctx: NContext, obj: int) -> frozenset[Cell]:
     """All (n-1)-tuples over dimensions 1..n-1 crossed with the given object."""
     if not 0 <= obj < len(ctx.dims[0]):
         raise ValueError(f"object index {obj} out of range")
-    return frozenset(mask_cells(ctx.sizes[1:], object_rows(ctx)[obj]))
+    width = ctx.cell_count() // ctx.sizes[0]
+    return frozenset(mask_cells(ctx.sizes[1:], ctx.mask >> obj * width & (1 << width) - 1))
 
 
 def quasi_leq(i: int, a: Concept, b: Concept) -> bool:
@@ -261,7 +262,11 @@ def from_dense(arr: np.ndarray, dims: Sequence[Sequence[str]] | None = None) -> 
         raise ValueError(f"need at least 2 dimensions, got {arr.ndim}")
     if dims is None:
         dims = [tuple(str(i + 1) for i in range(s)) for s in arr.shape]
-    return NContext.build(dims, zip(*np.nonzero(arr)))
+    if (shape := tuple(map(len, dims))) != arr.shape:
+        d = next(d for d in range(len(shape) + 1) if shape[d:d + 1] != arr.shape[d:d + 1])
+        raise ValueError(f"dims have shape {shape}, arr {arr.shape}; they differ on axis {d}")
+    mask = int.from_bytes(np.packbits(arr.ravel(), bitorder="little").tobytes(), "little")
+    return NContext(tuple(tuple(labels) for labels in dims), mask)
 
 
 # ---------------------------------------------------------------------------

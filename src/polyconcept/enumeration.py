@@ -55,47 +55,45 @@ def brute_force_concepts(ctx: NContext, cap: int = BRUTE_FORCE_CAP) -> ConceptSe
     ))
 
 
-def _concepts(sizes: Sequence[int], rel: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each concept of the relation rel over sizes once: (component masks, box cells).
+def _concepts(sizes: Sequence[int], rel: int, stride: int = 1) -> Iterator[tuple[int, ...]]:
+    """Each concept of the relation rel over sizes once, as its component masks.
 
-    Component d marks element x by bit x * w_d, w_d being the stride of
-    dimension d, that is by the cell with coordinate x there and 0 elsewhere.
-    So the box of (A, B) is B's box times A's mask.
+    Component 0 marks element x by bit x * stride, bit x at the top level.
+    Component d > 0 marks it by bit x * w_d, w_d the stride of dimension d,
+    so their product is the box, built only by the level that reads it.
     """
     width = prod(sizes[1:])
     rows = split_rows(rel, sizes[0], width)
-    marks = [1 << (x * width) for x in range(sizes[0])]
+    marks = [1 << (x * stride) for x in range(sizes[0])]
     pairs = closed_sets(rows, (1 << width) - 1, marks)
     if len(sizes) == 2:
-        for a, y in pairs:
-            yield (a, y), y * a
+        yield from pairs
         return
     for a, y in pairs:
         outside = [row for row, mark in zip(rows, marks) if not a & mark]
-        for comps, box in _concepts(sizes[1:], y):
+        for comps in _concepts(sizes[1:], y, prod(sizes[2:])):
+            box = prod(comps)
             for row in outside:
                 if row & box == box:
                     break
             else:
-                yield (a,) + comps, box * a
+                yield (a,) + comps
 
 
 def _by_size(ctx: NContext) -> tuple[list[int], Iterator[tuple[int, ...]]]:
     """The dimensions ordered by size, smallest first (a stable sort), and
     the component masks of every concept of ctx laid out in that order."""
     order = sorted(range(ctx.arity), key=lambda d: ctx.sizes[d])
-    found = _concepts([ctx.sizes[d] for d in order], relation_mask(ctx, order))
-    return order, (comps for comps, _ in found)
+    return order, _concepts([ctx.sizes[d] for d in order], relation_mask(ctx, order))
 
 
 def enumerate_concepts(ctx: NContext) -> ConceptSet:
     """All concepts, found objects first; output order is canonical."""
     order, found = _by_size(ctx)
     sizes = [ctx.sizes[d] for d in order]
-    # component k of the layout marks element x by bit x * w, w its stride
-    unstride = [
+    unstride = [lambda c: c] + [
         lambda c, j=j, w=prod(sizes[k + 1:]): sum(1 << x for x in range(j) if c >> (x * w) & 1)
-        for k, j in enumerate(sizes)
+        for k, j in enumerate(sizes[1:], 1)
     ]
     back = itemgetter(*(order.index(d) for d in range(ctx.arity)))
     return ConceptSet.from_iterable(ctx, map(back, _per_component(found, unstride)))

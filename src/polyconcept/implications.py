@@ -183,9 +183,9 @@ def _features(sizes: Sequence[int], rel: int) -> dict[tuple[int, ...], int]:
 
     A feature is the tuple of component masks over dimensions 2..n, each
     marking element x by bit x times its stride, so their product is the
-    feature's cell mask; an extent marks object x by bit x * prod(sizes[1:]).
+    feature's cell mask; an extent is a plain element mask, bit x for object x.
     """
-    return {comps[1:]: comps[0] for comps, _ in _concepts(sizes, rel)}
+    return {comps[1:]: comps[0] for comps in _concepts(sizes, rel)}
 
 
 def _canonical_rows(sizes: tuple[int, ...], rel: int) -> list[int]:

@@ -73,6 +73,16 @@ class TestNContext:
         assert back == fig1
         assert from_dense(np.zeros((2, 2), dtype=bool)).relation == frozenset()
 
+    @pytest.mark.parametrize("dims, axis", [
+        ([("a", "b", "c"), ("x", "y")], 0),
+        ([("a", "b"), ("x",)], 1),
+        ([("a", "b")], 1),
+        ([("a", "b"), ("x", "y"), ("z",)], 2),
+    ])
+    def test_dense_refuses_dims_off_the_shape(self, dims, axis):
+        with pytest.raises(ValueError, match=rf"arr \(2, 2\); they differ on axis {axis}$"):
+            from_dense(np.ones((2, 2), dtype=bool), dims)
+
 
 class TestContains:
     def test_reference_cells(self, fig1):
